@@ -6,6 +6,7 @@
 
 #include "bounds/opt/types.hpp"
 #include "kernels/table2.hpp"
+#include "sdg/multi_statement.hpp"
 
 namespace {
 
@@ -20,8 +21,11 @@ void BM_AnalyzeKernel(benchmark::State& state, const std::string& name) {
 void BM_AnalyzeKernelBackend(benchmark::State& state, const std::string& name,
                              soap::bounds::opt::BackendKind backend) {
   const auto& k = soap::kernels::kernel_by_name(name);
+  soap::sdg::SdgOptions options = k.options;
+  options.threads = 1;
+  options.optimizer = backend;
   for (auto _ : state) {
-    auto bound = soap::kernels::analyze_kernel(k, 1, {}, backend);
+    auto bound = soap::sdg::multi_statement_bound(k.build(), options);
     benchmark::DoNotOptimize(bound);
   }
 }

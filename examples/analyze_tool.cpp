@@ -53,13 +53,6 @@
 //   soap_analyze --cache-file PATH       # persistent cache (implies
 //                                        # --cache): loaded at startup,
 //                                        # appended on every store
-//   soap_analyze --optimizer NAME        # numeric backend for the chi
-//                                        # constant fits (nelder_mead,
-//                                        # multistart, subplex; see
-//                                        # docs/OPTIMIZER.md); applies to
-//                                        # program, --kernel, and --corpus
-//                                        # modes, overriding the recorded
-//                                        # configuration
 //
 // Exit codes follow support::StatusCode (docs/ROBUSTNESS.md): 0 ok,
 // 1 internal error, 2 invalid input/usage, 3 optimizer no-converge,
@@ -80,7 +73,6 @@
 #include <vector>
 
 #include "analysis/attainment.hpp"
-#include "bounds/opt/types.hpp"
 #include "frontend/lower.hpp"
 #include "kernels/table2.hpp"
 #include "sdg/multi_statement.hpp"
@@ -103,9 +95,7 @@ int usage(const char* argv0) {
                "--kernel NAME [--threads N]\n"
                "       %s --attainment [--family NAME] "
                "[--cache-sizes N,N,...] [--threads N]\n"
-               "  any mode also accepts --timeout-ms N and --node-budget N;\n"
-               "  analysis modes accept --optimizer "
-               "{nelder_mead|multistart|subplex}\n"
+               "  any mode also accepts --timeout-ms N and --node-budget N\n"
                "  reads the program from [file], or stdin when omitted\n",
                argv0, argv0, argv0);
   return soap::support::status_exit_code(
@@ -187,8 +177,7 @@ int list_kernels() {
 // class of the first non-ok kernel.
 int run_corpus(const std::string& family, std::size_t threads,
                const soap::support::StopCriteria& stop, bool json,
-               soap::service::BoundCache* cache,
-               std::optional<soap::bounds::opt::BackendKind> optimizer) {
+               soap::service::BoundCache* cache) {
   using namespace soap;
   const kernels::Registry& registry = kernels::Registry::instance();
   std::vector<const kernels::KernelEntry*> rows;
@@ -206,7 +195,6 @@ int run_corpus(const std::string& family, std::size_t threads,
   kernels::CorpusOptions options;
   options.threads = threads;
   options.stop = stop;
-  options.optimizer = optimizer;
   kernels::CorpusReport report =
       cache != nullptr ? service::analyze_corpus_cached(*cache, rows, options)
                        : kernels::analyze_corpus_resilient(rows, options);
@@ -240,8 +228,7 @@ int run_corpus(const std::string& family, std::size_t threads,
 // with the trip code.
 int run_kernel(const std::string& name, std::size_t threads,
                const soap::support::StopCriteria& stop, bool json,
-               soap::service::BoundCache* cache,
-               std::optional<soap::bounds::opt::BackendKind> optimizer) {
+               soap::service::BoundCache* cache) {
   using namespace soap;
   const kernels::KernelEntry* entry = nullptr;
   try {
@@ -253,10 +240,8 @@ int run_kernel(const std::string& name, std::size_t threads,
   }
   kernels::KernelOutcome out =
       cache != nullptr
-          ? service::analyze_kernel_cached(*cache, *entry, threads, {}, stop,
-                                           nullptr, optimizer)
-          : kernels::analyze_kernel_checked(*entry, threads, {}, stop,
-                                            optimizer);
+          ? service::analyze_kernel_cached(*cache, *entry, threads, {}, stop)
+          : kernels::analyze_kernel_checked(*entry, threads, {}, stop);
   if (json) {
     std::printf("%s\n", service::outcome_json(out).c_str());
     return support::status_exit_code(out.status);
@@ -292,8 +277,6 @@ int main(int argc, char** argv) {
   std::string kernel;
   std::string cache_sizes_csv;
   std::vector<long long> cache_sizes;
-  std::string optimizer_name;
-  std::optional<bounds::opt::BackendKind> optimizer;
   std::string path;
   std::size_t timeout_ms = 0;
   std::size_t node_budget = 0;
@@ -365,25 +348,6 @@ int main(int argc, char** argv) {
         continue;
       case support::FlagParse::kBadValue:
         std::fprintf(stderr, "invalid value for --cache-sizes: %s\n",
-                     flag_error.c_str());
-        return usage(argv[0]);
-      case support::FlagParse::kNoMatch:
-        break;
-    }
-    switch (support::consume_string_flag(argc, argv, i, "optimizer",
-                                         optimizer_name, &flag_error)) {
-      case support::FlagParse::kOk: {
-        std::string reason;
-        optimizer = bounds::opt::parse_backend_name(optimizer_name, &reason);
-        if (!optimizer) {
-          std::fprintf(stderr, "invalid value for --optimizer: %s\n",
-                       reason.c_str());
-          return usage(argv[0]);
-        }
-        continue;
-      }
-      case support::FlagParse::kBadValue:
-        std::fprintf(stderr, "invalid value for --optimizer: %s\n",
                      flag_error.c_str());
         return usage(argv[0]);
       case support::FlagParse::kNoMatch:
@@ -469,15 +433,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--cache-sizes only applies to --attainment\n");
     return usage(argv[0]);
   }
-  // Attainment pins its tiles to the default backend's derivation and
-  // --list-kernels derives nothing; accepting --optimizer there would
-  // silently do nothing, breaking the strict-flag contract.
-  if (optimizer && (list || attainment)) {
-    std::fprintf(stderr,
-                 "--optimizer does not apply to "
-                 "--list-kernels/--attainment\n");
-    return usage(argv[0]);
-  }
   if (attainment && (list || corpus)) {
     std::fprintf(stderr,
                  "--attainment conflicts with --list-kernels/--corpus\n");
@@ -508,7 +463,6 @@ int main(int argc, char** argv) {
   if (timeout_ms != 0) stop.deadline = support::Deadline::after_ms(timeout_ms);
   stop.budget.max_live_nodes = node_budget;
   options.stop = stop;
-  if (optimizer) options.optimizer = *optimizer;
   std::unique_ptr<service::BoundCache> cache;
   if (use_cache) {
     service::BoundCacheOptions cache_options;
@@ -520,12 +474,10 @@ int main(int argc, char** argv) {
     return run_attainment(family, options.threads, cache_sizes, stop, json);
   }
   if (corpus) {
-    return run_corpus(family, options.threads, stop, json, cache.get(),
-                      optimizer);
+    return run_corpus(family, options.threads, stop, json, cache.get());
   }
   if (!kernel.empty()) {
-    return run_kernel(kernel, options.threads, stop, json, cache.get(),
-                      optimizer);
+    return run_kernel(kernel, options.threads, stop, json, cache.get());
   }
   std::string source;
   if (path.empty()) {

@@ -139,11 +139,7 @@ double feasible_scale(const Evaluator& ev, const std::vector<double>& x,
     lo = hi;
     hi *= 4.0;
   }
-  for (int it = 0; it < 200; ++it) {
-    double mid = 0.5 * (lo + hi);
-    (feasible(mid) ? lo : hi) = mid;
-  }
-  return lo;
+  return bisect_last_true(lo, hi, 200, feasible);
 }
 
 double projected_objective(const Evaluator& ev, const std::vector<double>& u,
@@ -269,14 +265,13 @@ void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
     return true;
   };
   auto project = [&](std::vector<double>* uu) {
-    double lo = -60.0, hi = 60.0;
-    for (int it = 0; it < 100; ++it) {
-      double mid = 0.5 * (lo + hi);
-      std::vector<double> shifted = *uu;
-      for (double& v : shifted) v += mid;
-      (sum_g(shifted) <= X ? lo : hi) = mid;
-    }
-    for (double& v : *uu) v = std::max(0.0, v + lo);
+    const double shift =
+        bisect_last_true(-60.0, 60.0, 100, [&](double mid) {
+          std::vector<double> shifted = *uu;
+          for (double& v : shifted) v += mid;
+          return sum_g(shifted) <= X;
+        });
+    for (double& v : *uu) v = std::max(0.0, v + shift);
   };
 
   std::vector<double> w = *u;
@@ -287,8 +282,6 @@ void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
     std::vector<double> r(n);
     double mean_log = 0.0;
     int active = 0;
-    double f0 = std::exp(projected_objective(ev, w, X, bv, guard));
-    (void)f0;
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<double> up = w, dn = w;
       up[i] += eps;

@@ -70,6 +70,24 @@ struct BoundsView {
   }
 };
 
+// Bisection for the boundary of a predicate that is true on [lo, t] and
+// false beyond: returns the last point known true (or `lo` itself, which is
+// never evaluated).  Stops after `max_iters` halvings or as soon as the
+// midpoint rounds onto an endpoint — the update still applies on that final
+// step, so an all-true interval returns `hi` exactly — and from there on a
+// fixed-count loop could not move either, so the result is bit-identical to
+// running all `max_iters` iterations.
+template <typename Pred>
+double bisect_last_true(double lo, double hi, int max_iters, Pred&& pred) {
+  for (int it = 0; it < max_iters; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    const bool stuck = mid == lo || mid == hi;
+    (pred(mid) ? lo : hi) = mid;
+    if (stuck) break;
+  }
+  return lo;
+}
+
 // Largest uniform multiplicative scale m such that scaling every tile by m
 // (clamped into its bound range) stays feasible; constraint terms are
 // monotone non-decreasing in every tile so feasibility is monotone in m.

@@ -28,24 +28,4 @@ const char* backend_name(BackendKind kind) noexcept {
   return "unknown";
 }
 
-std::vector<std::string> backend_names() {
-  return {"nelder_mead", "multistart", "subplex"};
-}
-
-std::optional<BackendKind> parse_backend_name(const std::string& name,
-                                              std::string* error) {
-  if (name == "nelder_mead") return BackendKind::kNelderMead;
-  if (name == "multistart") return BackendKind::kMultistart;
-  if (name == "subplex") return BackendKind::kSubplex;
-  if (error != nullptr) {
-    std::string valid;
-    for (const std::string& b : backend_names()) {
-      if (!valid.empty()) valid += ", ";
-      valid += b;
-    }
-    *error = "unknown optimizer backend '" + name + "' (valid: " + valid + ")";
-  }
-  return std::nullopt;
-}
-
 }  // namespace soap::bounds::opt

@@ -5,9 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <vector>
 
 namespace soap::bounds::opt {
 
@@ -43,10 +40,10 @@ enum class ResultCode : std::uint8_t {
   return a < b ? b : a;
 }
 
-/// The shipped backends.  The enum (not a string) is what option structs
-/// carry so it can be digested into the service cache key; parse/print via
-/// the helpers below.  All backends agree on the corpus — the `optimizer`
-/// differential suite (tests/test_optimizer_diff.cpp) enforces it.
+/// The shipped backends, chosen only through sdg::SdgOptions::optimizer
+/// (which the service cache key digests).  All backends agree on the
+/// corpus — the `optimizer` differential suite
+/// (tests/test_optimizer_diff.cpp) enforces it.
 enum class BackendKind : std::uint8_t {
   /// Default: log-space Nelder-Mead with exact feasibility projection and
   /// KKT polish — the historical solver, bit-identical behind the
@@ -62,16 +59,7 @@ enum class BackendKind : std::uint8_t {
   kSubplex,
 };
 
-/// CLI/display name: "nelder_mead", "multistart", "subplex".
+/// Display name: "nelder_mead", "multistart", "subplex".
 [[nodiscard]] const char* backend_name(BackendKind kind) noexcept;
-
-/// Strict parse of a backend name; on rejection stores a human-readable
-/// reason (including the list of valid names) into `error` when non-null.
-[[nodiscard]] std::optional<BackendKind> parse_backend_name(
-    const std::string& name, std::string* error = nullptr);
-
-/// All registered backend names, registration order (for usage strings and
-/// the bench sweep).
-[[nodiscard]] std::vector<std::string> backend_names();
 
 }  // namespace soap::bounds::opt

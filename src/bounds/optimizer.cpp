@@ -7,6 +7,7 @@
 #include <string>
 
 #include "bounds/opt/backend.hpp"
+#include "bounds/opt/evaluator.hpp"
 #include "linalg/simplex.hpp"
 #include "support/cancel.hpp"
 
@@ -153,18 +154,17 @@ std::optional<double> asymptotic_constant(
     return total;
   };
   auto project = [&](std::vector<double>* uu) {
-    double lo = -80.0, hi = 80.0;
-    for (int it = 0; it < 200; ++it) {
-      double mid = 0.5 * (lo + hi);
-      std::vector<double> shifted = *uu;
-      for (std::size_t i = 0; i < n; ++i) {
-        shifted[i] += mid;
-        if (clamped[i]) shifted[i] = std::max(0.0, shifted[i]);
-      }
-      (eval_monos(constraint_monos, shifted, nullptr) <= 1.0 ? lo : hi) = mid;
-    }
+    const double shift =
+        opt::bisect_last_true(-80.0, 80.0, 200, [&](double mid) {
+          std::vector<double> shifted = *uu;
+          for (std::size_t i = 0; i < n; ++i) {
+            shifted[i] += mid;
+            if (clamped[i]) shifted[i] = std::max(0.0, shifted[i]);
+          }
+          return eval_monos(constraint_monos, shifted, nullptr) <= 1.0;
+        });
     for (std::size_t i = 0; i < n; ++i) {
-      (*uu)[i] += lo;
+      (*uu)[i] += shift;
       if (clamped[i]) (*uu)[i] = std::max(0.0, (*uu)[i]);
     }
   };

@@ -22,13 +22,11 @@ sym::Expr analyze_kernel(const KernelEntry& entry) {
 }
 
 sym::Expr analyze_kernel(const KernelEntry& entry, std::size_t threads,
-                         support::ExecutorRef executor,
-                         std::optional<bounds::opt::BackendKind> optimizer) {
+                         support::ExecutorRef executor) {
   Program program = entry.build();
   sdg::SdgOptions options = entry.options;
   options.threads = threads;
   options.executor = executor;
-  if (optimizer) options.optimizer = *optimizer;
   auto bound = sdg::multi_statement_bound(program, options);
   if (!bound) {
     throw std::runtime_error("analyze_kernel: no bound for " + entry.name);
@@ -47,8 +45,7 @@ std::vector<sym::Expr> analyze_corpus(std::size_t threads,
 
 std::vector<sym::Expr> analyze_corpus(
     const std::vector<const KernelEntry*>& kernels, std::size_t threads,
-    support::ExecutorRef executor,
-    std::optional<bounds::opt::BackendKind> optimizer) {
+    support::ExecutorRef executor) {
   support::ParallelOptions par;
   par.threads = threads;
   par.executor = executor;
@@ -61,8 +58,8 @@ std::vector<sym::Expr> analyze_corpus(
   // and per-kernel determinism makes the nesting invisible in the output.
   return support::parallel_map<sym::Expr>(
       kernels.size(), par,
-      [&kernels, threads, executor, optimizer](std::size_t i) {
-        return analyze_kernel(*kernels[i], threads, executor, optimizer);
+      [&kernels, threads, executor](std::size_t i) {
+        return analyze_kernel(*kernels[i], threads, executor);
       });
 }
 
@@ -111,8 +108,7 @@ std::string CorpusReport::failure_summary() const {
 
 KernelOutcome analyze_kernel_checked(
     const KernelEntry& entry, std::size_t threads,
-    support::ExecutorRef executor, const support::StopCriteria& stop,
-    std::optional<bounds::opt::BackendKind> optimizer) {
+    support::ExecutorRef executor, const support::StopCriteria& stop) {
   KernelOutcome out;
   out.kernel = entry.name;
   out.family = entry.family;
@@ -122,7 +118,6 @@ KernelOutcome analyze_kernel_checked(
     options.threads = threads;
     options.executor = executor;
     options.stop = stop;
-    if (optimizer) options.optimizer = *optimizer;
     auto bound = sdg::multi_statement_bound(program, options);
     if (!bound) {
       out.status = support::StatusCode::kInvalidInput;
@@ -157,8 +152,7 @@ CorpusReport analyze_corpus_resilient(
   report.kernels = support::parallel_map<KernelOutcome>(
       kernels.size(), par, [&kernels, &options](std::size_t i) {
         return analyze_kernel_checked(*kernels[i], options.threads,
-                                      options.executor, options.stop,
-                                      options.optimizer);
+                                      options.executor, options.stop);
       });
   return report;
 }

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "bounds/opt/types.hpp"
 #include "kernels/registry.hpp"
 #include "support/cancel.hpp"
 #include "support/executor.hpp"
@@ -51,14 +50,10 @@ std::vector<const KernelEntry*> table2_kernels();
 sym::Expr analyze_kernel(const KernelEntry& entry);
 
 /// Same, with the entry's configured thread budget overridden (see
-/// SdgOptions::threads: 1 = serial, 0 = all hardware threads), an optional
-/// executor for the helper workers (default: the global pool), and an
-/// optional numeric-backend override (default: the entry's configured
-/// backend — nullopt, not kNelderMead, so entries keep their own setting).
+/// SdgOptions::threads: 1 = serial, 0 = all hardware threads) and an
+/// optional executor for the helper workers (default: the global pool).
 sym::Expr analyze_kernel(const KernelEntry& entry, std::size_t threads,
-                         support::ExecutorRef executor = {},
-                         std::optional<bounds::opt::BackendKind> optimizer =
-                             std::nullopt);
+                         support::ExecutorRef executor = {});
 
 /// Analyzes the whole registered corpus (every family, registry order) as
 /// one batch of (kernel x subgraph-shard) work items: kernels are claimed
@@ -73,11 +68,9 @@ std::vector<sym::Expr> analyze_corpus(std::size_t threads = 1,
 
 /// Same batch, restricted to an explicit kernel subset (e.g. one family or
 /// the original Table 2 rows); slot i holds the bound of kernels[i].
-/// `optimizer` overrides every kernel's numeric backend when set.
 std::vector<sym::Expr> analyze_corpus(
     const std::vector<const KernelEntry*>& kernels, std::size_t threads = 1,
-    support::ExecutorRef executor = {},
-    std::optional<bounds::opt::BackendKind> optimizer = std::nullopt);
+    support::ExecutorRef executor = {});
 
 /// Lookup across the whole registry by name; throws std::out_of_range when
 /// missing.  Equivalent to Registry::instance().at(name).
@@ -93,10 +86,6 @@ struct CorpusOptions {
   /// Per-kernel termination criteria (deadline/budgets shared wall-clock
   /// across the run; polled inside each kernel's analysis).
   support::StopCriteria stop;
-  /// Numeric-backend override applied to every kernel when set (the
-  /// `--optimizer` flag of the corpus tools); nullopt keeps each entry's
-  /// configured backend.
-  std::optional<bounds::opt::BackendKind> optimizer;
 };
 
 /// Per-kernel result of a resilient corpus run.  `status` is kOk for a
@@ -133,8 +122,7 @@ struct CorpusReport {
 KernelOutcome analyze_kernel_checked(
     const KernelEntry& entry, std::size_t threads = 1,
     support::ExecutorRef executor = {},
-    const support::StopCriteria& stop = {},
-    std::optional<bounds::opt::BackendKind> optimizer = std::nullopt);
+    const support::StopCriteria& stop = {});
 
 /// analyze_corpus that survives per-kernel failures: same slot-per-kernel
 /// determinism, but a kernel that fails (or degrades) reports its status in

@@ -8,7 +8,6 @@
 
 #include "bounds/intensity.hpp"
 #include "sdg/subgraph.hpp"
-#include "support/parallel.hpp"
 #include "support/pipeline.hpp"
 #include "support/sym_map.hpp"
 #include "symbolic/leading.hpp"
@@ -108,11 +107,10 @@ std::optional<MultiStatementBound> derive_bound(const Program& program,
   Sdg sdg = Sdg::build(program);
 
   // The per-subgraph chain merge_subgraph -> derive_chi -> minimize_intensity
-  // -> eval is independent per subgraph.  Whichever schedule runs it, the
-  // scheduler decides only *who* analyzes a subgraph: results are reduced
-  // into `evaluated` in canonical enumeration order, so `evaluated` — and
-  // every reduction below — is identical for any thread count, executor,
-  // and schedule.
+  // -> eval is independent per subgraph.  The pipeline decides only *who*
+  // analyzes a subgraph: results are reduced into `evaluated` in canonical
+  // enumeration order, so `evaluated` — and every reduction below — is
+  // identical for any thread count and executor.
   std::vector<Evaluated> evaluated;
   RhoValueCache rho_cache;
   auto analyze_one =
@@ -128,50 +126,30 @@ std::optional<MultiStatementBound> derive_bound(const Program& program,
     return Evaluated{std::move(arrays), in.rho, value};
   };
 
-  if (options.schedule == SdgSchedule::kPipelined) {
-    // Staged pipeline: the enumeration producer streams each subgraph into
-    // the analysis stage the moment it is generated — per-subgraph analysis
-    // overlaps with the enumeration of the next level — and the ordered
-    // sink appends results by sequence index.
-    support::PipelineOptions pipe;
-    pipe.workers = options.threads;
-    pipe.executor = options.executor;
-    pipe.cancel = options.stop.cancel;
-    EnumerationGuard guard(options.stop);
-    support::run_pipeline<std::vector<std::string>>(
-        pipe,
-        [&](const std::function<bool(std::vector<std::string> &&)>& emit) {
-          for_each_subgraph(sdg, options.max_subgraph_size,
-                            options.max_subgraphs,
-                            [&](std::vector<std::string>&& arrays) {
-                              guard.poll();
-                              return emit(std::move(arrays));
-                            });
-        },
-        analyze_one,
-        [&](std::size_t, std::optional<Evaluated>&& slot) {
-          if (slot) evaluated.push_back(std::move(*slot));
-        });
-  } else {
-    // Level-synchronous reference schedule: materialize each enumeration
-    // level, shard it, barrier, continue.
-    support::ParallelOptions par;
-    par.threads = options.threads;
-    par.executor = options.executor;
-    par.cancel = options.stop.cancel;
-    EnumerationGuard guard(options.stop);
-    for_each_subgraph_level(
-        sdg, options.max_subgraph_size, options.max_subgraphs,
-        [&](std::vector<std::vector<std::string>>& level) {
-          for (std::size_t i = 0; i < level.size(); ++i) guard.poll();
-          auto slots = support::parallel_map<std::optional<Evaluated>>(
-              level.size(), par,
-              [&](std::size_t i) { return analyze_one(std::move(level[i])); });
-          for (std::optional<Evaluated>& slot : slots) {
-            if (slot) evaluated.push_back(std::move(*slot));
-          }
-        });
-  }
+  // Staged pipeline: the enumeration producer streams each subgraph into
+  // the analysis stage the moment it is generated — per-subgraph analysis
+  // overlaps with the enumeration of the next level — and the ordered sink
+  // appends results by sequence index.  At threads = 1 it runs as a plain
+  // emit -> analyze -> append loop, the determinism reference.
+  support::PipelineOptions pipe;
+  pipe.workers = options.threads;
+  pipe.executor = options.executor;
+  pipe.cancel = options.stop.cancel;
+  EnumerationGuard guard(options.stop);
+  support::run_pipeline<std::vector<std::string>>(
+      pipe,
+      [&](const std::function<bool(std::vector<std::string> &&)>& emit) {
+        for_each_subgraph(sdg, options.max_subgraph_size,
+                          options.max_subgraphs,
+                          [&](std::vector<std::string>&& arrays) {
+                            guard.poll();
+                            return emit(std::move(arrays));
+                          });
+      },
+      analyze_one,
+      [&](std::size_t, std::optional<Evaluated>&& slot) {
+        if (slot) evaluated.push_back(std::move(*slot));
+      });
 
   MultiStatementBound out;
   out.subgraphs_evaluated = evaluated.size();

@@ -5,7 +5,7 @@
 // least once).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,22 +18,6 @@
 #include "support/executor.hpp"
 
 namespace soap::sdg {
-
-/// How the per-subgraph analysis is scheduled over the enumeration.  Both
-/// schedules produce bit-identical MultiStatementBounds at every worker
-/// count — the determinism suite enforces it — so kPipelined is strictly a
-/// wall-clock improvement.
-enum class SdgSchedule : std::uint8_t {
-  /// Staged pipeline: the subgraph producer streams into the per-subgraph
-  /// analysis stages, so analysis overlaps with the enumeration of the next
-  /// level and the reduction happens in enumeration order as results
-  /// arrive.  Default.
-  kPipelined,
-  /// Level-synchronous: each enumeration level is fully materialized, then
-  /// sharded, with a barrier before the next level is generated.  Kept as
-  /// the reference schedule for the determinism oracle.
-  kLevelSync,
-};
 
 struct SdgOptions {
   /// Largest subgraph cardinality enumerated; 1 disables fusion analysis.
@@ -51,8 +35,6 @@ struct SdgOptions {
   /// private pool or ExecutorRef::serial() to override (helper fan-out is
   /// capped by the executor's concurrency).
   support::ExecutorRef executor;
-  /// Pipelined (default) vs level-synchronous scheduling; see SdgSchedule.
-  SdgSchedule schedule = SdgSchedule::kPipelined;
   /// Include the cold bound (inputs touched + terminal outputs stored at
   /// least once) via max().  Off by default: the bounding-box footprint
   /// over-counts for version-dimension encodings (time stencils) and
@@ -71,9 +53,10 @@ struct SdgOptions {
   /// errors.
   bool degrade_on_budget = true;
   /// Numeric optimizer backend for the per-subgraph chi constant fits
-  /// (bounds/opt, docs/OPTIMIZER.md).  All shipped backends agree on the
-  /// corpus (the differential suite enforces it); the default is the
-  /// historical solver, bit-identical.  Part of the service cache key.
+  /// (bounds/opt, docs/OPTIMIZER.md) — the only place a backend is chosen.
+  /// All shipped backends agree on the corpus (the differential suite
+  /// enforces it); the default is the historical solver, bit-identical.
+  /// Part of the service cache key.
   bounds::opt::BackendKind optimizer = bounds::opt::BackendKind::kNelderMead;
 };
 

@@ -87,24 +87,6 @@ void for_each_subgraph(const Sdg& sdg, std::size_t max_size,
   }
 }
 
-void for_each_subgraph_level(const Sdg& sdg, std::size_t max_size,
-                             std::size_t max_count,
-                             const SubgraphLevelSink& sink) {
-  std::vector<std::vector<std::string>> level;
-  std::size_t current_size = 0;
-  for_each_subgraph(
-      sdg, max_size, max_count, [&](std::vector<std::string>&& names) {
-        if (names.size() != current_size && !level.empty()) {
-          sink(level);
-          level.clear();
-        }
-        current_size = names.size();
-        level.push_back(std::move(names));
-        return true;
-      });
-  if (!level.empty()) sink(level);
-}
-
 std::vector<std::vector<std::string>> enumerate_subgraphs(
     const Sdg& sdg, std::size_t max_size, std::size_t max_count) {
   std::vector<std::vector<std::string>> out;

@@ -28,22 +28,6 @@ using SubgraphSink = std::function<bool(std::vector<std::string>&&)>;
 void for_each_subgraph(const Sdg& sdg, std::size_t max_size,
                        std::size_t max_count, const SubgraphSink& sink);
 
-/// Receives one enumeration level (all emitted subsets of a single
-/// cardinality, in canonical generation order).  The vector is the
-/// producer's scratch for that level; sinks may move elements out of it.
-using SubgraphLevelSink =
-    std::function<void(std::vector<std::vector<std::string>>&)>;
-
-/// Level-synchronous batching of for_each_subgraph: level k (all subsets of
-/// size k) is materialized and handed to `sink` before level k+1 is
-/// generated, so at most one level is ever held in memory.  This is the
-/// barriered schedule the pipelined analysis replaced; it remains the
-/// reference oracle for the determinism suite and the shape for consumers
-/// that genuinely need whole levels.
-void for_each_subgraph_level(const Sdg& sdg, std::size_t max_size,
-                             std::size_t max_count,
-                             const SubgraphLevelSink& sink);
-
 /// All connected subsets of the computed arrays with size <= max_size
 /// (connectivity per Sdg::adjacent, which includes shared-input adjacency),
 /// materialized in the same canonical order the streaming producer emits.

@@ -42,8 +42,7 @@ ProgramAnalysis analyze_program_cached(BoundCache& cache,
 kernels::KernelOutcome analyze_kernel_cached(
     BoundCache& cache, const kernels::KernelEntry& entry, std::size_t threads,
     support::ExecutorRef executor, const support::StopCriteria& stop,
-    CacheOutcome* cache_outcome,
-    std::optional<bounds::opt::BackendKind> optimizer) {
+    CacheOutcome* cache_outcome) {
   kernels::KernelOutcome out;
   out.kernel = entry.name;
   out.family = entry.family;
@@ -53,7 +52,6 @@ kernels::KernelOutcome analyze_kernel_cached(
     options.threads = threads;
     options.executor = executor;
     options.stop = stop;
-    if (optimizer) options.optimizer = *optimizer;
     ProgramAnalysis analysis = analyze_program_cached(cache, program, options);
     if (cache_outcome != nullptr) *cache_outcome = analysis.outcome;
     if (!analysis.bound) {
@@ -89,8 +87,7 @@ kernels::CorpusReport analyze_corpus_cached(
   report.kernels = support::parallel_map<kernels::KernelOutcome>(
       kernels.size(), par, [&cache, &kernels, &options](std::size_t i) {
         return analyze_kernel_cached(cache, *kernels[i], options.threads,
-                                     options.executor, options.stop, nullptr,
-                                     options.optimizer);
+                                     options.executor, options.stop);
       });
   return report;
 }

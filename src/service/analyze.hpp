@@ -40,8 +40,7 @@ kernels::KernelOutcome analyze_kernel_cached(
     BoundCache& cache, const kernels::KernelEntry& entry,
     std::size_t threads = 1, support::ExecutorRef executor = {},
     const support::StopCriteria& stop = {},
-    CacheOutcome* cache_outcome = nullptr,
-    std::optional<bounds::opt::BackendKind> optimizer = std::nullopt);
+    CacheOutcome* cache_outcome = nullptr);
 
 /// analyze_corpus_resilient with every kernel routed through `cache`:
 /// same slot-per-kernel determinism, same report.

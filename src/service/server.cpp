@@ -40,7 +40,6 @@ struct RequestOpts {
   std::size_t node_budget = 0;
   std::optional<std::size_t> max_subgraph_size;
   std::optional<std::size_t> max_subgraphs;
-  std::optional<bounds::opt::BackendKind> optimizer;
   std::string error;  ///< non-empty = malformed request
 
   [[nodiscard]] bool ok() const { return error.empty(); }
@@ -63,15 +62,6 @@ RequestOpts parse_opts(const std::vector<std::string>& tokens,
     const std::string value = token.substr(eq + 1);
     if (key == "id") {
       opts.id = value;
-      continue;
-    }
-    if (key == "optimizer") {
-      std::string reason;
-      opts.optimizer = bounds::opt::parse_backend_name(value, &reason);
-      if (!opts.optimizer) {
-        opts.error = reason;
-        return opts;
-      }
       continue;
     }
     const std::optional<std::size_t> n = support::parse_size_t(value);
@@ -168,10 +158,6 @@ int Server::serve(std::istream& in, std::ostream& out) {
           options.max_subgraph_size = *opts.max_subgraph_size;
         }
         if (opts.max_subgraphs) options.max_subgraphs = *opts.max_subgraphs;
-        if (const auto backend =
-                opts.optimizer ? opts.optimizer : options_.optimizer) {
-          options.optimizer = *backend;
-        }
         const ProgramAnalysis analysis =
             analyze_program_cached(*cache_, program, options);
         reply = "{\"id\":" + json_string(opts.id);
@@ -203,8 +189,7 @@ int Server::serve(std::istream& in, std::ostream& out) {
           CacheOutcome cache_outcome = CacheOutcome::kMiss;
           const kernels::KernelOutcome outcome = analyze_kernel_cached(
               *cache_, *entry, options_.analysis_threads, options_.executor,
-              stop, &cache_outcome,
-              opts.optimizer ? opts.optimizer : options_.optimizer);
+              stop, &cache_outcome);
           reply = "{\"id\":" + json_string(opts.id) + ",\"cache\":" +
                   json_string(cache_outcome_name(cache_outcome)) + ',' +
                   outcome_json(outcome).substr(1);

@@ -9,10 +9,10 @@
 //   analyze [k=v ...]        analyze the DSL program on the following
 //   <program lines>          lines; body ends at a line reading `end`.
 //   end                      keys: id, timeout-ms, node-budget,
-//                            max-subgraph-size, max-subgraphs, optimizer
+//                            max-subgraph-size, max-subgraphs
 //   kernel NAME [k=v ...]    analyze a registered kernel with its recorded
 //                            configuration (keys: id, timeout-ms,
-//                            node-budget, optimizer)
+//                            node-budget)
 //   stats [k=v ...]          drain in-flight requests, then report cache
 //                            counters, hit rate, and service p50/p99
 //                            latency (keys: id)
@@ -31,9 +31,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 
-#include "bounds/opt/types.hpp"
 #include "service/bound_cache.hpp"
 #include "support/executor.hpp"
 
@@ -54,11 +52,6 @@ struct ServerOptions {
   /// Default per-request live-node budget (0 = unlimited); overridable per
   /// request with node-budget=N.
   std::size_t default_node_budget = 0;
-  /// Default numeric-optimizer backend (docs/OPTIMIZER.md); nullopt keeps
-  /// each request's recorded/default configuration.  Overridable per
-  /// request with optimizer=NAME.  Part of the cache key, so replies under
-  /// different backends never alias.
-  std::optional<bounds::opt::BackendKind> optimizer;
 };
 
 class Server {

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <random>
 #include <stdexcept>
 #include <string>
 
 #include "bounds/opt/backend.hpp"
+#include "bounds/opt/evaluator.hpp"
 #include "bounds/opt/types.hpp"
 #include "bounds/single_statement.hpp"
 #include "frontend/lower.hpp"
@@ -193,18 +197,73 @@ TEST(ResultCodes, NamesSeverityAndParsing) {
             ResultCode::kInfeasible);
   EXPECT_EQ(opt::worst(ResultCode::kSuccess, ResultCode::kSuccess),
             ResultCode::kSuccess);
-  // Backend names round-trip through the parser; unknown names fail with a
-  // reason that lists the valid spellings.
+  // Every backend reports the display name its kind maps to.
   for (opt::BackendKind kind :
        {opt::BackendKind::kNelderMead, opt::BackendKind::kMultistart,
         opt::BackendKind::kSubplex}) {
-    EXPECT_EQ(opt::parse_backend_name(opt::backend_name(kind)), kind);
     EXPECT_EQ(opt::backend(kind).name(), opt::backend_name(kind));
   }
-  std::string reason;
-  EXPECT_FALSE(opt::parse_backend_name("bogus", &reason));
-  EXPECT_NE(reason.find("bogus"), std::string::npos);
-  EXPECT_NE(reason.find("nelder_mead"), std::string::npos);
+  EXPECT_STREQ(opt::backend_name(opt::BackendKind::kNelderMead),
+               "nelder_mead");
+}
+
+// Reference oracle: a plain fixed-count bisection.  bisect_last_true must
+// return the identical double, bit for bit.
+template <typename Pred>
+double fixed_count_bisection(double lo, double hi, int iters, Pred pred) {
+  for (int it = 0; it < iters; ++it) {
+    double mid = 0.5 * (lo + hi);
+    (pred(mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+void expect_same_bits(double lo, double hi, int iters, double threshold) {
+  const auto pred = [threshold](double m) { return m <= threshold; };
+  const double want = fixed_count_bisection(lo, hi, iters, pred);
+  const double got = opt::bisect_last_true(lo, hi, iters, pred);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << "[" << lo << ", " << hi << "] x" << iters << " threshold "
+      << threshold << ": " << got << " vs " << want;
+}
+
+TEST(BisectLastTrue, MatchesTheFixedCountLoopBitForBit) {
+  // Roots at 0: the KKT (+-60, 100 iterations) and GP (+-80, 200) shift
+  // projections converge there and exhaust their caps before the interval
+  // collapses to one ULP, so the cap decides the result.
+  expect_same_bits(-60.0, 60.0, 100, 0.0);
+  expect_same_bits(-80.0, 80.0, 200, 0.0);
+  expect_same_bits(-60.0, 60.0, 100, -1e-300);
+  // All true: when the final midpoint rounds onto `hi`, `hi` itself must be
+  // returned, as the fixed loop does, not the point one ULP below it.
+  expect_same_bits(-60.0, 60.0, 100, 1e9);
+  expect_same_bits(1e-12, 1e18, 200, 1e18);
+  // All false: `lo` is returned untouched (and never evaluated).
+  expect_same_bits(-80.0, 80.0, 200, -1e9);
+  expect_same_bits(1e-12, 1.0, 200, 0.0);
+  // A seeded sweep of thresholds over the three shapes in use, including
+  // the feasible_scale bracket after its doubling loop.
+  std::mt19937_64 rng(0x5EEDB15EC7ULL);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 2000; ++i) {
+    expect_same_bits(-60.0, 60.0, 100, -60.0 + 120.0 * unit(rng));
+    expect_same_bits(-80.0, 80.0, 200, -80.0 + 160.0 * unit(rng));
+    const double hi = std::pow(4.0, static_cast<int>(unit(rng) * 30.0));
+    expect_same_bits(hi / 4.0, hi, 200, hi / 4.0 + 0.75 * hi * unit(rng));
+  }
+}
+
+TEST(BisectLastTrue, StopsOnceTheIntervalCollapses) {
+  // Far from zero the interval reaches one ULP long before a 200-step cap;
+  // the helper stops there instead of re-evaluating a fixed point.
+  int calls = 0;
+  const double got = opt::bisect_last_true(1.0, 2.0, 200, [&](double m) {
+    ++calls;
+    return m <= 1.5;
+  });
+  EXPECT_EQ(got, 1.5);
+  EXPECT_LT(calls, 60);
 }
 
 TEST(ProjectFeasible, ProjectedPointSatisfiesEveryConstraint) {

@@ -5,8 +5,10 @@
 // problems.  Agreement is graded: exponents and LP data are exact and must
 // match bit for bit; a constant both backends snapped must be the same
 // interned expression (pointer identity under hash-consing); an unsnapped
-// constant must match within a small relative tolerance.  Labeled
-// `optimizer` so CI can run the differential suite on its own.
+// constant must match within a small relative tolerance.  The corpus
+// sweep also pins whole-kernel parity: multistart must reproduce every
+// default bound.  Labeled `optimizer` so CI can run the differential suite
+// on its own.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -24,6 +26,7 @@
 #include "bounds/single_statement.hpp"
 #include "kernels/table2.hpp"
 #include "problem_fuzz.hpp"
+#include "sdg/multi_statement.hpp"
 #include "support/cancel.hpp"
 #include "support/parallel.hpp"
 
@@ -150,6 +153,25 @@ TEST_P(BackendAgreement, EveryStatementProblemAgreesAcrossBackends) {
     // the identical interned expression, an unsnapped one near-bitwise.
     expect_differential_agreement(label, run_all_backends(problem), 1e-9);
   }
+}
+
+TEST_P(BackendAgreement, MultistartReproducesTheDefaultKernelBound) {
+  // Multistart runs a superset of the default backend's starts, so on the
+  // well-conditioned corpus the whole derivation — every subgraph's chi fit
+  // — must land on the identical interned bound (pointer identity).
+  const kernels::KernelEntry& k = kernels::kernel_by_name(GetParam());
+  const Program program = k.build();
+  sdg::SdgOptions options = k.options;
+  options.threads = 0;
+  options.optimizer = opt::BackendKind::kNelderMead;
+  const auto reference = sdg::multi_statement_bound(program, options);
+  options.optimizer = opt::BackendKind::kMultistart;
+  const auto multistart = sdg::multi_statement_bound(program, options);
+  ASSERT_TRUE(reference) << k.name;
+  ASSERT_TRUE(multistart) << k.name;
+  EXPECT_EQ(reference->Q_leading, multistart->Q_leading)
+      << k.name << ": " << reference->Q_leading.str() << " vs "
+      << multistart->Q_leading.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, BackendAgreement,

@@ -188,26 +188,6 @@ for i in range(1, I - 1):
   EXPECT_EQ(b->Q_cold, Expr(2) * Expr::symbol("I") * Expr::symbol("J"));
 }
 
-TEST(Sdg, StreamingLevelsMatchMaterializedEnumeration) {
-  Program p = figure2();
-  Sdg g = Sdg::build(p);
-  std::vector<std::vector<std::string>> streamed;
-  std::size_t levels = 0;
-  std::size_t last_size = 0;
-  for_each_subgraph_level(
-      g, 4, 100000, [&](std::vector<std::vector<std::string>>& level) {
-        ++levels;
-        ASSERT_FALSE(level.empty());
-        // Level-synchronous: uniform cardinality, strictly increasing.
-        for (const auto& h : level) EXPECT_EQ(h.size(), level.front().size());
-        EXPECT_GT(level.front().size(), last_size);
-        last_size = level.front().size();
-        for (auto& h : level) streamed.push_back(std::move(h));
-      });
-  EXPECT_EQ(levels, 2u);  // {C}, {E} then {C, E}
-  EXPECT_EQ(streamed, enumerate_subgraphs(g, 4));
-}
-
 TEST(Sdg, PerSubgraphStreamingMatchesMaterializedEnumeration) {
   // The pipelined producer: one subset per sink call, canonical order
   // (by cardinality, then generation order).

@@ -21,10 +21,6 @@
 //                                      # (overridable per request)
 //   analyzed --node-budget N           # default per-request live-node
 //                                      # budget (overridable per request)
-//   analyzed --optimizer NAME          # default numeric backend for the
-//                                      # chi constant fits (nelder_mead,
-//                                      # multistart, subplex; overridable
-//                                      # per request with optimizer=NAME)
 //
 // The protocol and reply shapes are documented in docs/SERVING.md and
 // src/service/server.hpp.  Results are bit-identical to analyze_tool with
@@ -40,7 +36,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "bounds/opt/types.hpp"
 #include "service/server.hpp"
 #include "support/cancel.hpp"
 #include "support/parse.hpp"
@@ -53,8 +48,7 @@ int usage(const char* argv0) {
                "[--analysis-threads N]\n"
                "       [--cache-entries N] [--cache-nodes N] "
                "[--cache-file PATH]\n"
-               "       [--timeout-ms N] [--node-budget N] "
-               "[--optimizer NAME]\n"
+               "       [--timeout-ms N] [--node-budget N]\n"
                "  serves the analyze/kernel/stats/cancel/quit protocol "
                "(docs/SERVING.md)\n"
                "  on stdin/stdout, or on 127.0.0.1:PORT with --listen\n",
@@ -160,7 +154,6 @@ int main(int argc, char** argv) {
   std::size_t cache_entries = 4096;
   std::size_t cache_nodes = 0;
   std::string cache_file;
-  std::string optimizer_name;
   struct SizeFlag {
     const char* name;
     std::size_t* out;
@@ -187,26 +180,6 @@ int main(int argc, char** argv) {
         continue;
       case support::FlagParse::kBadValue:
         std::fprintf(stderr, "invalid value for --cache-file: %s\n",
-                     flag_error.c_str());
-        return usage(argv[0]);
-      case support::FlagParse::kNoMatch:
-        break;
-    }
-    switch (support::consume_string_flag(argc, argv, i, "optimizer",
-                                         optimizer_name, &flag_error)) {
-      case support::FlagParse::kOk: {
-        std::string reason;
-        options.optimizer =
-            soap::bounds::opt::parse_backend_name(optimizer_name, &reason);
-        if (!options.optimizer) {
-          std::fprintf(stderr, "invalid value for --optimizer: %s\n",
-                       reason.c_str());
-          return usage(argv[0]);
-        }
-        continue;
-      }
-      case support::FlagParse::kBadValue:
-        std::fprintf(stderr, "invalid value for --optimizer: %s\n",
                      flag_error.c_str());
         return usage(argv[0]);
       case support::FlagParse::kNoMatch:
