@@ -69,57 +69,12 @@ Expr AccessTerm::size_expr() const {
   throw std::logic_error("AccessTerm::size_expr: bad kind");
 }
 
-// prod(e_i) - prod(e_i - c_i) suffers catastrophic cancellation for large
-// tiles; evaluate it by inclusion-exclusion instead:
-//   prod(e) - prod(e - c) = sum_{T != 0} (-1)^{|T|+1} prod_{i in T} c_i *
-//                                                prod_{i not in T} e_i,
-// whose summands have the magnitude of the result, not of prod(e).
-double combine_access_extents(TermKind kind, const double* e, const double* c,
-                              std::size_t n) {
-  if (n > 20) throw std::logic_error("AccessTerm::eval: too many dims");
-  double prod = 1.0;
-  bool any_offset = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    prod *= e[i];
-    if (c[i] > 0) any_offset = true;
-  }
-  auto difference = [&]() {
-    double total = 0.0;
-    for (std::size_t mask = 1; mask < (1u << n); ++mask) {
-      double term = 1.0;
-      int bits = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) {
-          term *= c[i];
-          ++bits;
-        } else {
-          term *= e[i];
-        }
-      }
-      total += (bits % 2 == 1) ? term : -term;
-    }
-    return total;
-  };
-  switch (kind) {
-    case TermKind::kPlain:
-      return any_offset ? prod + difference() : prod;
-    case TermKind::kInputOutput:
-      return difference();
-    case TermKind::kVersioned:
-    case TermKind::kOutput:
-      return prod;
-  }
-  throw std::logic_error("AccessTerm::eval: bad kind");
-}
-
 double AccessTerm::eval(const std::map<std::string, double>& tiles) const {
-  std::vector<double> e(dims.size());
-  std::vector<double> c(dims.size());
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    e[i] = extent_eval(dims[i], tiles);
-    c[i] = static_cast<double>(dims[i].offsets);
+  AccessSizeFold fold;
+  for (const DimSpec& d : dims) {
+    fold.add(extent_eval(d, tiles), static_cast<double>(d.offsets));
   }
-  return combine_access_extents(kind, e.data(), c.data(), dims.size());
+  return fold.value(kind);
 }
 
 std::vector<std::vector<std::string>> AccessTerm::lp_monomials() const {

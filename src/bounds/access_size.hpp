@@ -70,13 +70,42 @@ struct AccessTerm {
   [[nodiscard]] std::string str() const;
 };
 
-/// Combines per-dimension extents e[0..n) and offset counts c[0..n) into |A|
-/// for the given counting rule, using the cancellation-safe
-/// inclusion-exclusion expansion of prod(e) - prod(e - c).  Shared by
-/// AccessTerm::eval and the optimizer's index-compiled terms so the numerics
-/// cannot drift apart.  Requires n <= 20 (throws std::logic_error).
-double combine_access_extents(TermKind kind, const double* e, const double* c,
-                              std::size_t n);
+/// Evaluates |A| for the given counting rule, fed one dimension at a time
+/// (extent e, offset count c).  prod(e) - prod(e - c) cancels
+/// catastrophically for large tiles, so the fold carries it directly:
+///   D' = e*D + c*P,  P' = P*(e - c),  prod' = prod*e,
+/// starting from D = 0 and P = prod = 1.  For e >= c >= 0 every summand is
+/// non-negative, so no step subtracts quantities of the magnitude of prod(e).
+/// O(n) for any number of dimensions.  AccessTerm::eval and the optimizer's
+/// index-compiled terms both feed it, so their numerics cannot drift apart.
+class AccessSizeFold {
+ public:
+  void add(double extent, double offsets) {
+    difference_ = extent * difference_ + offsets * shifted_;
+    shifted_ *= extent - offsets;
+    product_ *= extent;
+    if (offsets > 0) any_offset_ = true;
+  }
+
+  [[nodiscard]] double value(TermKind kind) const {
+    switch (kind) {
+      case TermKind::kPlain:
+        return any_offset_ ? product_ + difference_ : product_;
+      case TermKind::kInputOutput:
+        return difference_;
+      case TermKind::kVersioned:
+      case TermKind::kOutput:
+        break;
+    }
+    return product_;
+  }
+
+ private:
+  double difference_ = 0.0;  ///< prod(e) - prod(e - c) so far
+  double shifted_ = 1.0;     ///< prod(e - c) so far
+  double product_ = 1.0;     ///< prod(e) so far
+  bool any_offset_ = false;
+};
 
 /// The bounds-engine view of a single SOAP statement.
 struct StatementAnalysis {

@@ -2,14 +2,15 @@
 //
 // A backend maximizes Problem (8)'s objective chi over the tile sizes at a
 // concrete budget X.  The contract, modeled on nlopt-style optimizer layers:
-// typed problem input (OptimizationProblem + per-dimension VarBound ranges),
-// StopCriteria integration (PR 8's deadlines/cancellation/solver-eval
-// budgets are the maxtime/forced-stop/maxeval analogues, threaded through an
-// EvalGuard shared across a derivation's solves), explicit ResultCodes
+// typed problem input (OptimizationProblem; every tile's only bound is the
+// paper's |D_t| >= 1), StopCriteria integration (PR 8's
+// deadlines/cancellation/solver-eval budgets are the
+// maxtime/forced-stop/maxeval analogues, threaded through an EvalGuard
+// shared across a derivation's solves), explicit ResultCodes
 // instead of the historical bool/throw mix, and determinism: a backend is a
 // pure function of (problem, request) — same inputs give bit-identical
-// SolveResults on any thread, executor, or process (stochastic backends
-// derive every random number from SolveRequest::seed).
+// SolveResults on any thread, executor, or process (the stochastic
+// multistart backend draws from a fixed stream).
 //
 // Three backends ship (see types.hpp); all must agree with the exact-LP
 // exponent and with each other's snapped constant — the `optimizer`-labeled
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string_view>
@@ -29,15 +29,6 @@
 #include "support/cancel.hpp"
 
 namespace soap::bounds::opt {
-
-/// Per-dimension range of one tile variable, in tile space.  The default
-/// reproduces the paper's |D_t| >= 1 constraint; a finite `hi` additionally
-/// caps the tile (used by the projection property tests and available to
-/// callers that know a dimension's extent).
-struct VarBound {
-  double lo = 1.0;
-  double hi = std::numeric_limits<double>::infinity();
-};
 
 /// Counts projected-objective evaluations against StopCriteria's
 /// solver-eval budget (the nlopt `maxeval` analogue) and polls
@@ -58,13 +49,6 @@ struct SolveRequest {
   /// Extra log-space starting points (e.g. the LP-exponent seed).  Every
   /// backend appends its own default seeds after these.
   std::vector<std::vector<double>> seeds;
-  /// Per-variable tile ranges, parallel to problem.vars; empty means the
-  /// default [1, inf) everywhere (the historical clamp-at-1 path,
-  /// bit-identical).
-  std::vector<VarBound> bounds;
-  /// Deterministic RNG stream for stochastic backends (multistart jitter);
-  /// ignored by deterministic ones.  Same seed, same result — always.
-  std::uint64_t seed = 0;
   /// Iteration cap per local search (0 = the backend's default).  The
   /// nlopt-maxeval-style knob for tests; production paths leave it 0.
   int max_iterations = 0;
@@ -74,7 +58,7 @@ struct SolveRequest {
 };
 
 /// Outcome of one solve.  `optimum` is always populated with the best point
-/// found (on kInfeasible it is the clamped lower-bound point with chi = 0);
+/// found (on kInfeasible it is the all-ones tile point with chi = 0);
 /// `code` says how much to trust it.
 struct SolveResult {
   NumericOptimum optimum;
@@ -103,15 +87,14 @@ class OptimizerBackend {
 
 /// The feasibility projection every backend shares, exposed for the
 /// property tests: scales `tiles` by the largest uniform factor that keeps
-/// every constraint within budget X, clamping each tile into its VarBound
-/// range (default [1, inf)).  The result lies on the budget surface (or at
-/// the clamp), satisfies every constraint, and is a fixed point of
-/// re-projection within bisection tolerance.  Returns std::nullopt when no
-/// feasible point exists (even the all-lower-bound tile violates a
-/// constraint).  Throws std::out_of_range when `tiles` misses a variable.
+/// every constraint within budget X, clamping each tile at the paper's
+/// |D_t| >= 1.  The result lies on the budget surface (or at the clamp),
+/// satisfies every constraint, and is a fixed point of re-projection within
+/// bisection tolerance.  Returns std::nullopt when no feasible point exists
+/// (even the all-ones tile violates a constraint).  Throws
+/// std::out_of_range when `tiles` misses a variable.
 [[nodiscard]] std::optional<std::map<std::string, double>> project_feasible(
     const OptimizationProblem& problem,
-    const std::map<std::string, double>& tiles, double X,
-    const std::vector<VarBound>& bounds = {});
+    const std::map<std::string, double>& tiles, double X);
 
 }  // namespace soap::bounds::opt

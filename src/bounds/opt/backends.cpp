@@ -7,8 +7,8 @@
 //  * nelder_mead  — the historical default pipeline, bit-identical: per
 //    seed, log-space Nelder-Mead then KKT equalization polish, best wins.
 //  * multistart   — the same single-start pipeline re-seeded from
-//    deterministically jittered copies of every base seed (splitmix64
-//    stream from SolveRequest::seed), to escape bad basins.
+//    deterministically jittered copies of every base seed (a fixed
+//    splitmix64 stream), to escape bad basins.
 //  * subplex      — compass/coordinate descent with step halving as an
 //    independent global phase, sharing only the local KKT refiner.
 //
@@ -63,14 +63,13 @@ SolveResult best_of_starts(const Evaluator& ev,
                            const OptimizationProblem& problem,
                            const SolveRequest& request,
                            const std::vector<std::vector<double>>& seeds,
-                           const BoundsView& bv, int iters) {
+                           int iters) {
   const std::size_t n = problem.vars.size();
   double best_obj = -1e300;
   std::vector<double> best_u(n, 0.0);
   bool best_converged = false;
   for (const auto& seed : seeds) {
-    SingleStart s =
-        run_single_start(ev, request.X, seed, iters, request.guard, bv);
+    SingleStart s = run_single_start(ev, request.X, seed, iters, request.guard);
     if (s.objective > best_obj) {
       best_obj = s.objective;
       best_u = std::move(s.u);
@@ -78,7 +77,7 @@ SolveResult best_of_starts(const Evaluator& ev,
     }
   }
   return finish_solve(ev, problem, request.X, best_u, best_converged,
-                      request.guard, bv);
+                      request.guard);
 }
 
 SolveResult stop_result(const support::AnalysisError& err,
@@ -103,8 +102,7 @@ class NelderMeadBackend final : public OptimizerBackend {
         request.max_iterations > 0 ? request.max_iterations : kDefaultIterations;
     try {
       Evaluator ev(problem);
-      BoundsView bv = BoundsView::make(n, request.bounds);
-      return best_of_starts(ev, problem, request, base_seeds(request, n), bv,
+      return best_of_starts(ev, problem, request, base_seeds(request, n),
                             iters);
     } catch (const support::AnalysisError& err) {
       return stop_result(err, request);
@@ -125,15 +123,14 @@ class MultistartBackend final : public OptimizerBackend {
         request.max_iterations > 0 ? request.max_iterations : kDefaultIterations;
     try {
       Evaluator ev(problem);
-      BoundsView bv = BoundsView::make(n, request.bounds);
       std::vector<std::vector<double>> seeds = base_seeds(request, n);
       // Jittered restarts: kRestarts perturbed copies of every base seed,
       // amplitude in log-space (one e-fold covers a decent basin shift).
-      // The stream depends only on SolveRequest::seed, never on thread or
-      // schedule, so the solve stays a pure function of its inputs.
+      // The stream is a constant, never dependent on thread or schedule,
+      // so the solve stays a pure function of its inputs.
       constexpr int kRestarts = 3;
       constexpr double kAmplitude = 0.8;
-      std::uint64_t state = request.seed ^ 0x51d0f6e29aa1a2cdULL;
+      std::uint64_t state = 0x51d0f6e29aa1a2cdULL;
       const std::size_t base_count = seeds.size();
       seeds.reserve(base_count * (1 + kRestarts));
       for (std::size_t b = 0; b < base_count; ++b) {
@@ -143,7 +140,7 @@ class MultistartBackend final : public OptimizerBackend {
           seeds.push_back(std::move(jittered));
         }
       }
-      return best_of_starts(ev, problem, request, seeds, bv, iters);
+      return best_of_starts(ev, problem, request, seeds, iters);
     } catch (const support::AnalysisError& err) {
       return stop_result(err, request);
     }
@@ -156,12 +153,11 @@ class MultistartBackend final : public OptimizerBackend {
 // drops below tolerance.
 std::vector<double> compass_search(const Evaluator& ev, double X,
                                    std::vector<double> start, int iters,
-                                   EvalGuard* guard, const BoundsView& bv,
-                                   bool* converged) {
+                                   EvalGuard* guard, bool* converged) {
   *converged = false;
   std::vector<double> u = std::move(start);
   const std::size_t n = u.size();
-  double f = projected_objective(ev, u, X, bv, guard);
+  double f = projected_objective(ev, u, X, guard);
   double step = 2.0;
   for (int it = 0; it < iters; ++it) {
     bool improved = false;
@@ -169,7 +165,7 @@ std::vector<double> compass_search(const Evaluator& ev, double X,
       for (double dir : {1.0, -1.0}) {
         std::vector<double> trial = u;
         trial[i] += dir * step;
-        double ft = projected_objective(ev, trial, X, bv, guard);
+        double ft = projected_objective(ev, trial, X, guard);
         if (ft > f) {
           f = ft;
           u = std::move(trial);
@@ -202,16 +198,15 @@ class SubplexBackend final : public OptimizerBackend {
         request.max_iterations > 0 ? request.max_iterations : kDefaultIterations;
     try {
       Evaluator ev(problem);
-      BoundsView bv = BoundsView::make(n, request.bounds);
       double best_obj = -1e300;
       std::vector<double> best_u(n, 0.0);
       bool best_converged = false;
       for (const auto& seed : base_seeds(request, n)) {
         bool conv = false;
         std::vector<double> u = compass_search(ev, request.X, seed, iters,
-                                               request.guard, bv, &conv);
-        if (bv.defaulted) kkt_polish(ev, request.X, &u, request.guard, bv);
-        double obj = projected_objective(ev, u, request.X, bv, request.guard);
+                                               request.guard, &conv);
+        kkt_polish(ev, request.X, &u, request.guard);
+        double obj = projected_objective(ev, u, request.X, request.guard);
         if (obj > best_obj) {
           best_obj = obj;
           best_u = std::move(u);
@@ -219,7 +214,7 @@ class SubplexBackend final : public OptimizerBackend {
         }
       }
       return finish_solve(ev, problem, request.X, best_u, best_converged,
-                          request.guard, bv);
+                          request.guard);
     } catch (const support::AnalysisError& err) {
       return stop_result(err, request);
     }
@@ -245,11 +240,9 @@ const OptimizerBackend& backend(BackendKind kind) {
 
 std::optional<std::map<std::string, double>> project_feasible(
     const OptimizationProblem& problem,
-    const std::map<std::string, double>& tiles, double X,
-    const std::vector<VarBound>& bounds) {
+    const std::map<std::string, double>& tiles, double X) {
   const std::size_t n = problem.vars.size();
   Evaluator ev(problem);
-  BoundsView bv = BoundsView::make(n, bounds);
   std::vector<double> x(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto it = tiles.find(problem.vars[i]);
@@ -259,11 +252,11 @@ std::optional<std::map<std::string, double>> project_feasible(
     }
     x[i] = it->second;
   }
-  double m = feasible_scale(ev, x, X, bv);
+  double m = feasible_scale(ev, x, X);
   if (m == 0.0) return std::nullopt;
   std::map<std::string, double> out;
   for (std::size_t i = 0; i < n; ++i) {
-    out[problem.vars[i]] = bv.clamp(i, m * x[i]);
+    out[problem.vars[i]] = clamp_tile(m * x[i]);
   }
   return out;
 }

@@ -21,14 +21,9 @@ void EvalGuard::tick() {
 }
 
 double CompiledTerm::eval(const std::vector<double>& x) const {
-  // Stack scratch: this runs hundreds of thousands of times per solve
-  // (Nelder-Mead x bisection x terms); combine_access_extents caps n at 20.
-  double e[20];
-  double c[20];
-  const std::size_t n = dims.size();
-  if (n > 20) throw std::logic_error("CompiledTerm::eval: too many dims");
-  for (std::size_t i = 0; i < n; ++i) {
-    const CompiledDim& d = dims[i];
+  // Same counting rules as AccessTerm::eval, via the shared fold.
+  AccessSizeFold fold;
+  for (const CompiledDim& d : dims) {
     // Empty dimensions have extent 1; kMax starts from 0 and takes maxima.
     double extent = d.vars.empty()                ? 1.0
                     : d.mode == DimSpec::Mode::kMax ? 0.0
@@ -37,11 +32,9 @@ double CompiledTerm::eval(const std::vector<double>& x) const {
       extent = d.mode == DimSpec::Mode::kMax ? std::max(extent, x[v])
                                              : extent * x[v];
     }
-    e[i] = extent;
-    c[i] = d.offsets;
+    fold.add(extent, d.offsets);
   }
-  // Same counting rules as AccessTerm::eval, via the shared combiner.
-  return combine_access_extents(kind, e, c, n);
+  return fold.value(kind);
 }
 
 Evaluator::Evaluator(const OptimizationProblem& p) : problem(p) {
@@ -101,35 +94,12 @@ double Evaluator::utilization(const std::vector<double>& x, double X) const {
   return u;
 }
 
-BoundsView BoundsView::make(std::size_t n, const std::vector<VarBound>& b) {
-  BoundsView bv;
-  bv.lo.assign(n, 1.0);
-  bv.hi.assign(n, std::numeric_limits<double>::infinity());
-  if (b.empty()) return bv;
-  if (b.size() != n) {
-    throw std::invalid_argument(
-        "SolveRequest::bounds must be empty or match problem.vars");
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(b[i].lo > 0.0) || !(b[i].hi >= b[i].lo)) {
-      throw std::invalid_argument(
-          "SolveRequest::bounds must satisfy 0 < lo <= hi");
-    }
-    bv.lo[i] = b[i].lo;
-    bv.hi[i] = b[i].hi;
-    bv.defaulted =
-        bv.defaulted && b[i].lo == 1.0 &&
-        b[i].hi == std::numeric_limits<double>::infinity();
-  }
-  return bv;
-}
-
 double feasible_scale(const Evaluator& ev, const std::vector<double>& x,
-                      double X, const BoundsView& bv) {
+                      double X) {
   std::vector<double> tiles(x.size());
   auto feasible = [&](double m) {
     for (std::size_t i = 0; i < x.size(); ++i) {
-      tiles[i] = bv.clamp(i, m * x[i]);
+      tiles[i] = clamp_tile(m * x[i]);
     }
     return ev.utilization(tiles, X) <= 1.0;
   };
@@ -143,16 +113,16 @@ double feasible_scale(const Evaluator& ev, const std::vector<double>& x,
 }
 
 double projected_objective(const Evaluator& ev, const std::vector<double>& u,
-                           double X, const BoundsView& bv, EvalGuard* guard,
+                           double X, EvalGuard* guard,
                            std::vector<double>* tiles_out) {
   if (guard != nullptr) guard->tick();
   std::vector<double> x(u.size());
   for (std::size_t i = 0; i < u.size(); ++i) x[i] = std::exp(u[i]);
-  double m = feasible_scale(ev, x, X, bv);
+  double m = feasible_scale(ev, x, X);
   if (m == 0.0) return -1e300;
   std::vector<double> tiles(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    double xi = bv.clamp(i, m * x[i]);
+    double xi = clamp_tile(m * x[i]);
     tiles[i] = xi;
     if (tiles_out) (*tiles_out)[i] = xi;
   }
@@ -161,12 +131,11 @@ double projected_objective(const Evaluator& ev, const std::vector<double>& u,
 
 std::vector<double> nelder_mead(const Evaluator& ev, double X,
                                 std::vector<double> start, int iters,
-                                EvalGuard* guard, const BoundsView& bv,
-                                bool* converged) {
+                                EvalGuard* guard, bool* converged) {
   const std::size_t n = start.size();
   if (converged != nullptr) *converged = false;
   auto f = [&](const std::vector<double>& u) {
-    return projected_objective(ev, u, X, bv, guard);
+    return projected_objective(ev, u, X, guard);
   };
   std::vector<std::vector<double>> simplex(n + 1, start);
   for (std::size_t i = 0; i < n; ++i) simplex[i + 1][i] += 0.7;
@@ -242,7 +211,7 @@ std::vector<double> nelder_mead(const Evaluator& ev, double X,
 }
 
 void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
-                EvalGuard* guard, const BoundsView& bv) {
+                EvalGuard* guard) {
   const std::size_t n = u->size();
   auto tiles_of = [&](const std::vector<double>& uu) {
     std::vector<double> tiles(n);
@@ -315,8 +284,8 @@ void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
     if (!moved) break;
   }
   if (!singles_ok(w)) return;
-  double before = projected_objective(ev, *u, X, bv, guard);
-  double after = projected_objective(ev, w, X, bv, guard);
+  double before = projected_objective(ev, *u, X, guard);
+  double after = projected_objective(ev, w, X, guard);
   if (after >= before - 1e-12) *u = w;
 }
 
@@ -335,33 +304,27 @@ std::vector<std::vector<double>> default_seeds(std::size_t n, double X) {
 
 SingleStart run_single_start(const Evaluator& ev, double X,
                              std::vector<double> seed, int iters,
-                             EvalGuard* guard, const BoundsView& bv) {
+                             EvalGuard* guard) {
   SingleStart out;
-  out.u = nelder_mead(ev, X, std::move(seed), iters, guard, bv,
-                      &out.converged);
-  // The KKT polish's projection hard-codes the clamp-at-1 contract; with
-  // custom bounds the Nelder-Mead result (already projected) stands alone.
-  if (bv.defaulted) kkt_polish(ev, X, &out.u, guard, bv);
-  out.objective = projected_objective(ev, out.u, X, bv, guard);
+  out.u = nelder_mead(ev, X, std::move(seed), iters, guard, &out.converged);
+  kkt_polish(ev, X, &out.u, guard);
+  out.objective = projected_objective(ev, out.u, X, guard);
   return out;
 }
 
 SolveResult finish_solve(const Evaluator& ev, const OptimizationProblem& p,
                          double X, const std::vector<double>& best_u,
-                         bool converged, EvalGuard* guard,
-                         const BoundsView& bv) {
+                         bool converged, EvalGuard* guard) {
   const std::size_t n = p.vars.size();
   SolveResult out;
   std::vector<double> tiles(n);
-  double logf = projected_objective(ev, best_u, X, bv, guard, &tiles);
+  double logf = projected_objective(ev, best_u, X, guard, &tiles);
   if (logf <= -1e300) {
     // No feasible scaling from this point.  Distinguish a genuinely
-    // infeasible problem (even the all-lower-bound tile busts a budget)
-    // from a search that wandered into numeric trouble.
-    std::vector<double> floor_tiles(n);
-    for (std::size_t i = 0; i < n; ++i) floor_tiles[i] = bv.lo[i];
-    for (std::size_t i = 0; i < n; ++i) out.optimum.tiles[p.vars[i]] =
-        floor_tiles[i];
+    // infeasible problem (even the all-ones tile busts a budget) from a
+    // search that wandered into numeric trouble.
+    const std::vector<double> floor_tiles(n, 1.0);
+    for (const std::string& v : p.vars) out.optimum.tiles[v] = 1.0;
     out.optimum.chi = 0.0;
     out.code = ev.utilization(floor_tiles, X) > 1.0 ? ResultCode::kInfeasible
                                                     : ResultCode::kNoConverge;

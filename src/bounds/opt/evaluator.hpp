@@ -21,7 +21,8 @@ namespace soap::bounds::opt {
 // Compiled (dense-index) view of the problem for the numeric inner loops:
 // tile variables become vector indices and access terms precompile their
 // per-dimension variable lists, so Nelder-Mead / compass iterations never
-// touch a string-keyed map.  Mirrors AccessTerm::eval's inclusion-exclusion.
+// touch a string-keyed map.  Evaluates through the same AccessSizeFold as
+// AccessTerm::eval.
 struct CompiledDim {
   DimSpec::Mode mode = DimSpec::Mode::kProduct;
   std::vector<std::size_t> vars;
@@ -52,23 +53,9 @@ struct Evaluator {
                                    double X) const;
 };
 
-// Dense per-variable bound view in tile space.  The default (empty
-// VarBound list) is lo = 1, hi = +inf everywhere, which reproduces the
-// historical clamp-at-1 code path bit-identically: max(1.0, v) == max(lo, v)
-// and the hi test never fires.
-struct BoundsView {
-  std::vector<double> lo;
-  std::vector<double> hi;
-  bool defaulted = true;  ///< every bound is the default [1, inf)
-
-  static BoundsView make(std::size_t n, const std::vector<VarBound>& bounds);
-
-  [[nodiscard]] double clamp(std::size_t i, double v) const {
-    double t = v < lo[i] ? lo[i] : v;
-    if (t > hi[i]) t = hi[i];
-    return t;
-  }
-};
+// The paper's |D_t| >= 1: the only bound a tile variable carries.  Written
+// as a comparison, not std::max, so a NaN tile passes through unchanged.
+inline double clamp_tile(double v) { return v < 1.0 ? 1.0 : v; }
 
 // Bisection for the boundary of a predicate that is true on [lo, t] and
 // false beyond: returns the last point known true (or `lo` itself, which is
@@ -89,17 +76,16 @@ double bisect_last_true(double lo, double hi, int max_iters, Pred&& pred) {
 }
 
 // Largest uniform multiplicative scale m such that scaling every tile by m
-// (clamped into its bound range) stays feasible; constraint terms are
-// monotone non-decreasing in every tile so feasibility is monotone in m.
+// (clamped at 1) stays feasible; constraint terms are monotone
+// non-decreasing in every tile so feasibility is monotone in m.
 double feasible_scale(const Evaluator& ev, const std::vector<double>& x,
-                      double X, const BoundsView& bv);
+                      double X);
 
 // Projected objective: log chi after scaling onto the feasible boundary.
 // Returns -1e300 when no feasible scaling exists.  Ticks `guard` once per
 // call (the unit StopCriteria's solver-eval budget counts).
 double projected_objective(const Evaluator& ev, const std::vector<double>& u,
-                           double X, const BoundsView& bv,
-                           EvalGuard* guard = nullptr,
+                           double X, EvalGuard* guard = nullptr,
                            std::vector<double>* tiles_out = nullptr);
 
 // Nelder-Mead in log-space (maximization); dimensions are tiny (<= ~10).
@@ -108,24 +94,21 @@ double projected_objective(const Evaluator& ev, const std::vector<double>& u,
 // kSuccess vs kNoConverge.
 std::vector<double> nelder_mead(const Evaluator& ev, double X,
                                 std::vector<double> start, int iters,
-                                EvalGuard* guard, const BoundsView& bv,
-                                bool* converged = nullptr);
+                                EvalGuard* guard, bool* converged = nullptr);
 
 // KKT polish on the sum-constraint boundary: at an interior optimum,
 // r_v = (dF/du_v)/F / (dg/du_v) is equal across variables; iterate
 // multiplicative equalization with projection back onto g = X.  Variables
-// clamped at x >= 1 stay clamped.  Only valid under default bounds (the
-// clamp-at-1 contract is baked into its projection); callers skip it when
-// custom VarBounds are present.
+// clamped at x >= 1 stay clamped.
 void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
-                EvalGuard* guard, const BoundsView& bv);
+                EvalGuard* guard);
 
 // The two historical default seeds every backend appends after the
 // request's seeds: the uniform log(X)/(2n) point and a staggered ramp.
 std::vector<std::vector<double>> default_seeds(std::size_t n, double X);
 
-// One default-pipeline local search (Nelder-Mead then, under default
-// bounds, KKT polish) from `seed`; shared by the nelder_mead and multistart
+// One default-pipeline local search (Nelder-Mead then KKT polish) from
+// `seed`; shared by the nelder_mead and multistart
 // backends so multistart is exactly "the default, from more starts".
 struct SingleStart {
   std::vector<double> u;
@@ -134,15 +117,14 @@ struct SingleStart {
 };
 SingleStart run_single_start(const Evaluator& ev, double X,
                              std::vector<double> seed, int iters,
-                             EvalGuard* guard, const BoundsView& bv);
+                             EvalGuard* guard);
 
 // Folds a backend's best point into a SolveResult: extracts tiles/chi via a
-// final projected evaluation, probes feasibility of the all-lower-bound
-// point for the kInfeasible classification, and applies the
+// final projected evaluation, probes feasibility of the all-ones point for
+// the kInfeasible classification, and applies the
 // kSuccess/kNoConverge rule (finite positive chi + converged search).
 SolveResult finish_solve(const Evaluator& ev, const OptimizationProblem& p,
                          double X, const std::vector<double>& best_u,
-                         bool converged, EvalGuard* guard,
-                         const BoundsView& bv);
+                         bool converged, EvalGuard* guard);
 
 }  // namespace soap::bounds::opt

@@ -17,9 +17,9 @@ namespace {
 
 // One solve at budget X through the selected backend.  The backend boundary
 // is exception-free (a StopCriteria trip comes back as kStopReached with the
-// AnalysisError stashed); this layer rethrows it so maximize_subcomputation
-// and derive_chi keep the PR 8 degradation contract — callers see the same
-// AnalysisError at the same evaluation they always did.
+// AnalysisError stashed); this layer rethrows it so derive_chi keeps the
+// PR 8 degradation contract — callers see the same AnalysisError at the same
+// evaluation they always did.
 opt::SolveResult solve_through(const opt::OptimizerBackend& be,
                                const OptimizationProblem& problem, double X,
                                std::vector<std::vector<double>> seeds,
@@ -211,15 +211,6 @@ std::optional<double> asymptotic_constant(
 }
 
 }  // namespace
-
-NumericOptimum maximize_subcomputation(const OptimizationProblem& problem,
-                                       double X,
-                                       const support::StopCriteria& stop,
-                                       opt::BackendKind backend) {
-  opt::EvalGuard guard;
-  guard.stop = stop.unlimited() ? nullptr : &stop;
-  return solve_through(opt::backend(backend), problem, X, {}, &guard).optimum;
-}
 
 std::optional<ChiForm> derive_chi(const OptimizationProblem& problem,
                                   const support::StopCriteria& stop,

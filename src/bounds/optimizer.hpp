@@ -8,15 +8,18 @@
 // yielding chi(X) = |H_max(X)| and, downstream, the computational intensity
 // rho = chi(X)/(X - S).
 //
-// Strategy (see DESIGN.md and docs/OPTIMIZER.md): the *exponent* alpha of
+// Strategy (see docs/OPTIMIZER.md): the *exponent* alpha of
 // chi(X) = c * X^alpha is obtained exactly from a rational LP over the
-// dominant monomials of the access terms; the *constant* c is computed by a
-// pluggable numeric backend (bounds/opt: log-space Nelder-Mead with exact
-// feasibility projection by default, seeded at the LP solution; a multistart
-// wrapper and a subplex second opinion ship alongside it and the
-// differential suite keeps them in agreement) and then snapped to an exact
-// value by rationalizing c^q (q = den(alpha)), which recovers radicals such
-// as (1/27)^(1/2) = sqrt(3)/9 for matrix multiplication.  The LP and the
+// dominant monomials of the access terms.  The *constant* c is fitted by a
+// numeric backend (bounds/opt) at two budgets: log-space Nelder-Mead over
+// the exact feasibility projection, seeded at the LP solution, then KKT
+// polish.  The multistart and subplex backends optimize the same projection
+// and serve the differential suite as oracles.  Every constraint term is
+// evaluated by the O(n) AccessSizeFold (access_size.hpp).  When the problem
+// has pure-monomial structure, an asymptotic geometric program refines c to
+// machine precision.  c is then snapped to an exact value by rationalizing
+// c^q (q = den(alpha)), which recovers radicals such as
+// (1/27)^(1/2) = sqrt(3)/9 for matrix multiplication.  The LP and the
 // numeric fit cross-check each other; disagreement is an error.
 #pragma once
 
@@ -62,16 +65,6 @@ struct NumericOptimum {
   std::map<std::string, double> tiles;
   double chi = 0.0;
 };
-
-/// Numerically maximizes prod x_v subject to the constraints at budget X,
-/// through the selected bounds/opt backend (docs/OPTIMIZER.md).  `stop` is
-/// polled inside the backend's inner loops (deadline and cancellation every
-/// few dozen objective evaluations; the per-derivation solver-eval budget on
-/// every one) and raises AnalysisError when tripped.
-NumericOptimum maximize_subcomputation(
-    const OptimizationProblem& problem, double X,
-    const support::StopCriteria& stop = {},
-    opt::BackendKind backend = opt::BackendKind::kNelderMead);
 
 /// Symbolic form of chi(X) ~ coefficient * X^alpha (leading order).
 struct ChiForm {

@@ -25,6 +25,11 @@ namespace soap::service {
 
 namespace {
 
+/// Largest `analyze` body the daemon buffers.  A longer body is read through
+/// to its `end` line, so the stream stays in sync, and then answered with
+/// invalid_input: no client can grow server memory without limit.
+constexpr std::size_t kMaxBodyBytes = std::size_t{1} << 20;
+
 std::vector<std::string> tokenize(const std::string& line) {
   std::vector<std::string> tokens;
   std::istringstream ss(line);
@@ -297,8 +302,10 @@ int Server::serve(std::istream& in, std::ostream& out) {
     std::string body;
     if (is_analyze) {
       // Body lines up to the `end` terminator.  EOF mid-body is a client
-      // error: reply and shut down (the stream is gone).
+      // error: reply and shut down (the stream is gone).  Past
+      // kMaxBodyBytes the body is dropped and the rest skipped.
       bool terminated = false;
+      bool oversized = false;
       std::string body_line;
       while (std::getline(in, body_line)) {
         if (!body_line.empty() && body_line.back() == '\r') {
@@ -308,6 +315,13 @@ int Server::serve(std::istream& in, std::ostream& out) {
           terminated = true;
           break;
         }
+        if (oversized) continue;
+        if (body.size() + body_line.size() + 1 > kMaxBodyBytes) {
+          oversized = true;
+          body.clear();
+          body.shrink_to_fit();
+          continue;
+        }
         body += body_line;
         body += '\n';
       }
@@ -315,6 +329,12 @@ int Server::serve(std::istream& in, std::ostream& out) {
         write_reply(error_reply(opts.id, "invalid_input",
                                 "EOF before `end` terminator"));
         break;
+      }
+      if (oversized) {
+        write_reply(error_reply(opts.id, "invalid_input",
+                                "analyze body exceeds " +
+                                    std::to_string(kMaxBodyBytes) + " bytes"));
+        continue;
       }
     }
     if (!opts.ok()) {

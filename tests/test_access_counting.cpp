@@ -6,9 +6,13 @@
 // explicit CDAGs.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "bounds/access_size.hpp"
+#include "bounds/opt/evaluator.hpp"
 #include "frontend/lower.hpp"
 #include "pebbles/dominator.hpp"
 #include "pebbles/instantiate.hpp"
@@ -197,6 +201,153 @@ TEST(SignedMonomials, MatchEvalOnRandomTiles) {
       EXPECT_NEAR(direct, summed, 1e-9);
     }
   }
+}
+
+// The O(2^n) inclusion-exclusion that AccessSizeFold replaced, kept as the
+// oracle: prod(e) - prod(e - c) expanded over every non-empty subset T of
+// the dimensions as (-1)^{|T|+1} prod_{i in T} c_i prod_{i not in T} e_i.
+double inclusion_exclusion_size(bounds::TermKind kind,
+                                const std::vector<double>& e,
+                                const std::vector<double>& c) {
+  const std::size_t n = e.size();
+  double prod = 1.0;
+  bool any_offset = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    prod *= e[i];
+    if (c[i] > 0) any_offset = true;
+  }
+  double difference = 0.0;
+  for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
+    double term = 1.0;
+    int bits = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mask & (std::size_t{1} << i)) {
+        term *= c[i];
+        ++bits;
+      } else {
+        term *= e[i];
+      }
+    }
+    difference += bits % 2 == 1 ? term : -term;
+  }
+  switch (kind) {
+    case bounds::TermKind::kPlain:
+      return any_offset ? prod + difference : prod;
+    case bounds::TermKind::kInputOutput:
+      return difference;
+    case bounds::TermKind::kVersioned:
+    case bounds::TermKind::kOutput:
+      break;
+  }
+  return prod;
+}
+
+// A term with one single-variable dimension per extent ("v0", "v1", ...),
+// and the tile point that gives dimension i the extent e[i].
+struct FoldCase {
+  AccessTerm term;
+  std::map<std::string, double> tiles;
+  std::vector<double> x;  // the same point, indexed for CompiledTerm
+};
+
+FoldCase fold_case(bounds::TermKind kind, const std::vector<double>& e,
+                   const std::vector<long long>& c) {
+  FoldCase out;
+  out.term.array = "A";
+  out.term.kind = kind;
+  for (std::size_t i = 0; i < e.size(); ++i) {
+    const std::string v = "v" + std::to_string(i);
+    out.term.dims.push_back({bounds::DimSpec::Mode::kProduct, {v}, c[i]});
+    out.tiles[v] = e[i];
+    out.x.push_back(e[i]);
+  }
+  return out;
+}
+
+// The optimizer's index-compiled view of a fold_case term.
+bounds::opt::CompiledTerm compiled(const AccessTerm& term) {
+  bounds::opt::CompiledTerm out;
+  out.kind = term.kind;
+  for (std::size_t i = 0; i < term.dims.size(); ++i) {
+    out.dims.push_back({bounds::DimSpec::Mode::kProduct, {i},
+                        static_cast<double>(term.dims[i].offsets)});
+  }
+  return out;
+}
+
+constexpr bounds::TermKind kAllKinds[] = {
+    bounds::TermKind::kPlain, bounds::TermKind::kInputOutput,
+    bounds::TermKind::kVersioned, bounds::TermKind::kOutput};
+
+TEST(AccessSizeFold, MatchesInclusionExclusionOnRandomTerms) {
+  std::mt19937_64 rng(0xF01DAC5E55ULL);
+  std::uniform_real_distribution<double> log_extent(0.0, std::log(1e3));
+  std::uniform_int_distribution<long long> offset(0, 3);
+  for (std::size_t n = 0; n <= 10; ++n) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<double> e(n);
+      std::vector<long long> c(n);
+      std::vector<double> cd(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        e[i] = std::exp(log_extent(rng));
+        c[i] = offset(rng);
+        cd[i] = static_cast<double>(c[i]);
+      }
+      for (bounds::TermKind kind : kAllKinds) {
+        const FoldCase fc = fold_case(kind, e, c);
+        const double want = inclusion_exclusion_size(kind, e, cd);
+        const double tol = 1e-12 * std::fabs(want);
+        const std::string label = "n=" + std::to_string(n) + " trial " +
+                                  std::to_string(trial) + " kind " +
+                                  std::to_string(static_cast<int>(kind));
+        EXPECT_NEAR(fc.term.eval(fc.tiles), want, tol) << label;
+        EXPECT_NEAR(compiled(fc.term).eval(fc.x), want, tol) << label;
+      }
+    }
+  }
+}
+
+TEST(AccessSizeFold, LargeTilesKeepFullPrecision) {
+  // prod(e) is ~1e36 here while |A| is ~1e24: a direct prod(e) - prod(e-c)
+  // in double would keep only about four significant digits.  The reference
+  // is the telescoped sum c_i * prod_{j<i}(e_j - c_j) * prod_{j>i} e_j in
+  // long double, whose summands are all positive.
+  const std::vector<double> e = {1.234567890123e12, 9.87654321e11,
+                                 1.000000000007e12};
+  const std::vector<long long> c = {1, 2, 1};
+  long double difference = 0.0L;
+  long double prod = 1.0L;
+  for (std::size_t i = 0; i < e.size(); ++i) {
+    long double summand = static_cast<long double>(c[i]);
+    for (std::size_t j = 0; j < e.size(); ++j) {
+      if (j < i) summand *= static_cast<long double>(e[j] - c[j]);
+      if (j > i) summand *= static_cast<long double>(e[j]);
+    }
+    difference += summand;
+    prod *= static_cast<long double>(e[i]);
+  }
+  const FoldCase io = fold_case(bounds::TermKind::kInputOutput, e, c);
+  const double want_io = static_cast<double>(difference);
+  EXPECT_NEAR(io.term.eval(io.tiles), want_io, 1e-12 * want_io);
+  EXPECT_NEAR(compiled(io.term).eval(io.x), want_io, 1e-12 * want_io);
+  const FoldCase plain = fold_case(bounds::TermKind::kPlain, e, c);
+  const double want_plain = static_cast<double>(prod + difference);
+  EXPECT_NEAR(plain.term.eval(plain.tiles), want_plain, 1e-12 * want_plain);
+}
+
+TEST(AccessSizeFold, EvaluatesTwentyFourDimensions) {
+  // Beyond the 20 dimensions the subset expansion could enumerate.  Extent
+  // 2 and offset 1 everywhere: prod(e) - prod(e - c) = 2^24 - 1, exactly.
+  const std::vector<double> e(24, 2.0);
+  const std::vector<long long> c(24, 1);
+  const double two24 = 16777216.0;
+  const FoldCase io = fold_case(bounds::TermKind::kInputOutput, e, c);
+  EXPECT_EQ(io.term.eval(io.tiles), two24 - 1.0);
+  EXPECT_EQ(compiled(io.term).eval(io.x), two24 - 1.0);
+  const FoldCase plain = fold_case(bounds::TermKind::kPlain, e, c);
+  EXPECT_EQ(plain.term.eval(plain.tiles), 2.0 * two24 - 1.0);
+  const FoldCase versioned = fold_case(bounds::TermKind::kVersioned, e, c);
+  EXPECT_EQ(compiled(versioned.term).eval(versioned.x), two24);
 }
 
 }  // namespace

@@ -339,8 +339,8 @@ TEST(SdgDeterminism, FaultInjectionSweepStaysBitIdentical) {
 TEST(SdgDeterminism, EveryOptimizerBackendIsDeterministicAcrossThreads) {
   // The backend contract (docs/OPTIMIZER.md): a backend is a pure function
   // of (problem, request), so under EVERY backend — including the
-  // stochastic multistart, whose jitter derives only from the request seed
-  // — the full bound must stay bit-identical across thread counts and
+  // stochastic multistart, whose jitter comes from a fixed stream — the
+  // full bound must stay bit-identical across thread counts and
   // injected executors, exactly like the default.
   support::ThreadPool private_pool(2);
   for (const char* name : {"gemm", "atax", "softmax"}) {
