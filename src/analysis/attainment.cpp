@@ -45,15 +45,10 @@ long long default_extent(std::size_t depth, std::size_t budget) {
   return std::clamp<long long>(static_cast<long long>(e), 4, 32);
 }
 
-}  // namespace
-
-bool AttainmentRow::sound() const {
-  return static_cast<double>(Q_sim_belady) + 1e-9 >= std::floor(Q_lb);
-}
-
-std::map<std::string, long long> default_params(
-    const kernels::KernelEntry& entry, const AttainmentOptions& options) {
-  Program program = entry.build();
+/// default_params over an already-built `program` of `entry`.
+std::map<std::string, long long> params_for(const Program& program,
+                                            const kernels::KernelEntry& entry,
+                                            const AttainmentOptions& options) {
   std::set<std::string> symbols = parameter_symbols(program);
   for (const std::string& s : entry.problem_sizes) symbols.insert(s);
   symbols.erase("S");
@@ -70,6 +65,17 @@ std::map<std::string, long long> default_params(
   return out;
 }
 
+}  // namespace
+
+bool AttainmentRow::sound() const {
+  return static_cast<double>(Q_sim_belady) + 1e-9 >= std::floor(Q_lb);
+}
+
+std::map<std::string, long long> default_params(
+    const kernels::KernelEntry& entry, const AttainmentOptions& options) {
+  return params_for(entry.build(), entry, options);
+}
+
 AttainmentRow measure_kernel(const kernels::KernelEntry& entry, long long S,
                              const AttainmentOptions& options) {
   Program program = entry.build();
@@ -79,7 +85,7 @@ AttainmentRow measure_kernel(const kernels::KernelEntry& entry, long long S,
   row.S = S;
   row.statements = program.statements.size();
   row.fused = row.statements > 1;
-  row.params = default_params(entry, options);
+  row.params = params_for(program, entry, options);
 
   // The corpus bound: the kernel's recorded analysis (fused subgraphs, cold
   // bound, ... per its SdgOptions), evaluated at the concrete sizes.  Run

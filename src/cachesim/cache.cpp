@@ -2,17 +2,56 @@
 
 #include <algorithm>
 #include <limits>
-#include <list>
-#include <map>
-#include <queue>
-#include <set>
-#include <unordered_map>
+#include <utility>
 
 namespace soap::cachesim {
 
 namespace {
 
 constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+/// Dense ids for a trace's addresses, so both simulators run on flat arrays.
+/// When every address is below the trace length (always so for TraceBuilder
+/// traces, whose addresses are first-touch dense ids) the id is the address
+/// itself; otherwise it is the address's rank among the distinct addresses,
+/// so sparse caller traces need memory linear in the trace.  Both maps
+/// preserve address order, which Belady's tie-break depends on.
+class DenseIds {
+ public:
+  explicit DenseIds(const std::vector<schedule::Access>& trace)
+      : trace_(trace) {
+    std::uint64_t max = 0;
+    for (const schedule::Access& a : trace) max = std::max(max, a.address);
+    if (trace.empty() || max < trace.size()) {
+      universe_ = trace.empty() ? 0 : static_cast<std::size_t>(max) + 1;
+      return;
+    }
+    std::vector<std::uint64_t> sorted;
+    sorted.reserve(trace.size());
+    for (const schedule::Access& a : trace) sorted.push_back(a.address);
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    rank_.reserve(trace.size());
+    for (const schedule::Access& a : trace) {
+      rank_.push_back(static_cast<std::size_t>(
+          std::lower_bound(sorted.begin(), sorted.end(), a.address) -
+          sorted.begin()));
+    }
+    universe_ = sorted.size();
+  }
+
+  [[nodiscard]] std::size_t universe() const { return universe_; }
+  [[nodiscard]] std::size_t operator[](std::size_t i) const {
+    return rank_.empty() ? static_cast<std::size_t>(trace_[i].address)
+                         : rank_[i];
+  }
+
+ private:
+  const std::vector<schedule::Access>& trace_;
+  std::vector<std::size_t> rank_;  ///< empty: ids are the addresses
+  std::size_t universe_ = 0;
+};
 
 }  // namespace
 
@@ -23,39 +62,54 @@ SimResult simulate_lru(const std::vector<schedule::Access>& trace,
   // otherwise evict from an empty LRU list on the first access.
   S = std::max<std::size_t>(S, 1);
   SimResult r;
-  // LRU list: front = most recent.  Map address -> (list iterator, dirty).
-  std::list<std::uint64_t> order;
-  struct Line {
-    std::list<std::uint64_t>::iterator pos;
-    bool dirty;
+  const DenseIds id(trace);
+  // Intrusive recency list over ids: head = most recent, tail = victim.
+  std::vector<std::size_t> prev(id.universe(), kNone);
+  std::vector<std::size_t> next(id.universe(), kNone);
+  std::vector<std::uint8_t> present(id.universe(), 0);
+  std::vector<std::uint8_t> dirty(id.universe(), 0);
+  std::size_t head = kNone;
+  std::size_t tail = kNone;
+  std::size_t cached = 0;
+  auto unlink = [&](std::size_t a) {
+    (prev[a] == kNone ? head : next[prev[a]]) = next[a];
+    (next[a] == kNone ? tail : prev[next[a]]) = prev[a];
   };
-  std::unordered_map<std::uint64_t, Line> lines;
-  lines.reserve(2 * S);
+  auto push_front = [&](std::size_t a) {
+    prev[a] = kNone;
+    next[a] = head;
+    (head == kNone ? tail : prev[head]) = a;
+    head = a;
+  };
 
-  for (const schedule::Access& a : trace) {
-    auto it = lines.find(a.address);
-    if (it != lines.end()) {
-      order.erase(it->second.pos);
-      order.push_front(a.address);
-      it->second.pos = order.begin();
-      it->second.dirty |= a.write;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const std::size_t a = id[i];
+    const bool write = trace[i].write;
+    if (present[a]) {
+      if (head != a) {
+        unlink(a);
+        push_front(a);
+      }
+      dirty[a] |= static_cast<std::uint8_t>(write);
       continue;
     }
     // Miss.  A write to a line not present allocates without a load
     // (the statement fully overwrites the element).
-    if (!a.write) ++r.loads;
-    if (lines.size() >= S) {
-      std::uint64_t victim = order.back();
-      order.pop_back();
-      auto vit = lines.find(victim);
-      if (vit->second.dirty) ++r.stores;
-      lines.erase(vit);
+    if (!write) ++r.loads;
+    if (cached >= S) {
+      const std::size_t victim = tail;
+      unlink(victim);
+      if (dirty[victim]) ++r.stores;
+      present[victim] = 0;
+      --cached;
     }
-    order.push_front(a.address);
-    lines[a.address] = {order.begin(), a.write};
+    push_front(a);
+    present[a] = 1;
+    dirty[a] = static_cast<std::uint8_t>(write);
+    ++cached;
   }
-  for (const auto& [addr, line] : lines) {
-    if (line.dirty) ++r.stores;
+  for (std::size_t a = head; a != kNone; a = next[a]) {
+    if (dirty[a]) ++r.stores;
   }
   return r;
 }
@@ -64,65 +118,86 @@ SimResult simulate_belady(const std::vector<schedule::Access>& trace,
                           std::size_t S) {
   S = std::max<std::size_t>(S, 1);  // same capacity-1 floor as LRU
   SimResult r;
-  // Next-use chains.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> uses;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    uses[trace[i].address].push_back(i);
+  const DenseIds id(trace);
+  // next_use[i]: the position of the next access to trace[i]'s address
+  // after i, from one backward pass.
+  std::vector<std::size_t> next_use(trace.size());
+  std::vector<std::size_t> slot(id.universe(), kNever);
+  for (std::size_t i = trace.size(); i-- > 0;) {
+    const std::size_t a = id[i];
+    next_use[i] = slot[a];
+    slot[a] = i;
   }
-  std::unordered_map<std::uint64_t, std::size_t> use_idx;
-  auto next_use = [&](std::uint64_t addr, std::size_t now) {
-    auto& positions = uses[addr];
-    std::size_t& idx = use_idx[addr];
-    while (idx < positions.size() && positions[idx] <= now) ++idx;
-    return idx < positions.size() ? positions[idx] : kNever;
-  };
+  std::fill(slot.begin(), slot.end(), kNone);  // now: heap position per id
 
-  // Cached lines ordered by next use (max-heap by next use).
+  // Resident lines in a max-heap keyed by (next use, id), with each line's
+  // position tracked so a hit updates its key in place.  Next uses of
+  // resident lines are distinct positions except kNever, which the id
+  // breaks (furthest-and-highest address first), so the victim — the heap
+  // top — is unique.
   struct Line {
-    bool present = false;
-    bool dirty = false;
+    std::size_t when;
+    std::size_t id;
   };
-  std::unordered_map<std::uint64_t, Line> lines;
-  // Lazy priority queue of (next_use, addr).
-  std::priority_queue<std::pair<std::size_t, std::uint64_t>> pq;
-  std::size_t cached = 0;
+  std::vector<Line> heap;
+  heap.reserve(std::min(S, id.universe()));
+  std::vector<std::uint8_t> dirty(id.universe(), 0);
+  auto above = [](const Line& x, const Line& y) {
+    return x.when != y.when ? x.when > y.when : x.id > y.id;
+  };
+  auto place = [&](std::size_t p, const Line& line) {
+    heap[p] = line;
+    slot[line.id] = p;
+  };
+  auto sift_up = [&](std::size_t p) {
+    const Line line = heap[p];
+    while (p > 0 && above(line, heap[(p - 1) / 2])) {
+      place(p, heap[(p - 1) / 2]);
+      p = (p - 1) / 2;
+    }
+    place(p, line);
+  };
+  auto sift_down = [&](std::size_t p) {
+    const Line line = heap[p];
+    const std::size_t n = heap.size();
+    while (true) {
+      std::size_t c = 2 * p + 1;
+      if (c >= n) break;
+      if (c + 1 < n && above(heap[c + 1], heap[c])) ++c;
+      if (!above(heap[c], line)) break;
+      place(p, heap[c]);
+      p = c;
+    }
+    place(p, line);
+  };
 
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const schedule::Access& a = trace[i];
-    Line& line = lines[a.address];
-    std::size_t nu = next_use(a.address, i);
-    if (line.present) {
-      line.dirty |= a.write;
-      pq.push({nu == kNever ? kNever : nu, a.address});
+    const std::size_t a = id[i];
+    const bool write = trace[i].write;
+    const Line line{next_use[i], a};
+    if (slot[a] != kNone) {
+      // A hit moves the line's next use later: its key only grows.
+      dirty[a] |= static_cast<std::uint8_t>(write);
+      heap[slot[a]] = line;
+      sift_up(slot[a]);
       continue;
     }
-    if (!a.write) ++r.loads;
-    if (cached >= S) {
-      // Evict the line with the furthest (lazily validated) next use.
-      while (true) {
-        auto [when, victim] = pq.top();
-        pq.pop();
-        auto vit = lines.find(victim);
-        if (vit == lines.end() || !vit->second.present) continue;
-        std::size_t actual = next_use(victim, i - 1);
-        if (actual != when && !(actual == kNever && when == kNever)) {
-          pq.push({actual, victim});  // stale entry, reinsert
-          continue;
-        }
-        if (vit->second.dirty) ++r.stores;
-        vit->second.present = false;
-        vit->second.dirty = false;
-        --cached;
-        break;
-      }
+    if (!write) ++r.loads;
+    dirty[a] = static_cast<std::uint8_t>(write);
+    if (heap.size() >= S) {
+      // Evict the line used furthest in the future.
+      const std::size_t victim = heap.front().id;
+      if (dirty[victim]) ++r.stores;
+      slot[victim] = kNone;
+      heap.front() = line;
+      sift_down(0);
+    } else {
+      heap.push_back(line);
+      sift_up(heap.size() - 1);
     }
-    line.present = true;
-    line.dirty = a.write;
-    ++cached;
-    pq.push({nu, a.address});
   }
-  for (const auto& [addr, line] : lines) {
-    if (line.present && line.dirty) ++r.stores;
+  for (const Line& line : heap) {
+    if (dirty[line.id]) ++r.stores;
   }
   return r;
 }

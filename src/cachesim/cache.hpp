@@ -2,6 +2,9 @@
 // to measure the actual I/O of generated schedules against the analytic
 // lower bounds.  The cache models the paper's fast memory: S words, loads on
 // read misses, write-backs of dirty lines on eviction and at the end.
+// Addresses may be any 64-bit values; both simulators run on flat tables
+// indexed by address, after an order-preserving compaction when an address
+// is not below the trace length (docs/ATTAINMENT.md).
 #pragma once
 
 #include <cstdint>
