@@ -7,7 +7,7 @@
 
 #include "bench_flags.hpp"
 #include "kernels/table2.hpp"
-#include "support/parallel.hpp"
+#include "support/cancel.hpp"
 
 namespace soap::bench {
 
@@ -29,14 +29,16 @@ inline void print_row(const kernels::KernelEntry& k, const sym::Expr& ours) {
   }
 }
 
-/// Analyzes one registry family as a batch of (kernel x subgraph-shard)
-/// work items (`threads` executors; default 1 = serial): kernels are
-/// claimed concurrently and each kernel's inner analysis pipeline shards
-/// its subgraphs across the same executor, so the family's longest
-/// kernel no longer serializes the tail.  The bounds land in per-kernel
-/// slots and the table is printed afterwards in registry order, so the
-/// output is byte-identical for every thread count.  Returns non-zero for
-/// an unknown (empty) family so a driver typo fails loudly.
+/// Analyzes one registry family as one kernels::analyze_corpus_resilient
+/// batch (`threads` executors; default 1 = serial): kernels are claimed
+/// concurrently and each kernel's subgraphs fan out over the same
+/// executor, so the family's longest kernel no longer serializes the
+/// tail.  The bounds land in per-kernel slots and the table is printed
+/// afterwards in registry order, so the output is byte-identical for every
+/// thread count.  Returns non-zero for an unknown (empty) family so a
+/// driver typo fails loudly, and the status exit code of the first failed
+/// kernel (its failure summary on stderr) when any kernel did not yield a
+/// clean bound.
 inline int run_family(const char* title, const std::string& family,
                       int max_rows = -1, std::size_t threads = 1) {
   print_header(title);
@@ -49,9 +51,17 @@ inline int run_family(const char* title, const std::string& family,
   if (max_rows >= 0 && rows.size() > static_cast<std::size_t>(max_rows)) {
     rows.resize(static_cast<std::size_t>(max_rows));
   }
-  std::vector<sym::Expr> bounds =
-      kernels::analyze_corpus(rows, threads);
-  for (std::size_t i = 0; i < rows.size(); ++i) print_row(*rows[i], bounds[i]);
+  kernels::CorpusOptions options;
+  options.threads = threads;
+  const kernels::CorpusReport report =
+      kernels::analyze_corpus_resilient(rows, options);
+  if (report.worst_status() != support::StatusCode::kOk) {
+    std::fputs(report.failure_summary().c_str(), stderr);
+    return support::status_exit_code(report.worst_status());
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    print_row(*rows[i], *report.kernels[i].bound);
+  }
   std::printf("%zu applications analyzed.\n", rows.size());
   return 0;
 }

@@ -6,11 +6,11 @@
 //                                        # stdin
 //   soap_analyze --sdg [file]            # also dump the SDG in Graphviz
 //                                        # format
-//   soap_analyze --threads N ...         # shard the subgraph analysis
-//                                        # pipeline across N workers (0 =
-//                                        # all hardware threads); the
-//                                        # derived bound is identical for
-//                                        # every thread count
+//   soap_analyze --threads N ...         # fan the per-subgraph analysis
+//                                        # out over N workers (0 = all
+//                                        # hardware threads); the derived
+//                                        # bound is identical for every
+//                                        # thread count
 //   soap_analyze --max-subgraph-size N   # largest subgraph cardinality
 //                                        # enumerated (1 disables fusion
 //                                        # analysis)
@@ -134,7 +134,7 @@ int run_attainment(const std::string& family, std::size_t threads,
         kernels::Registry::instance().family(family);
     if (subset.empty()) {
       std::fprintf(stderr, "unknown kernel family '%s'\n", family.c_str());
-      return 1;
+      return support::status_exit_code(support::StatusCode::kInvalidInput);
     }
     rows = analysis::attainment_table(subset, options);
   }
@@ -189,7 +189,7 @@ int run_corpus(const std::string& family, std::size_t threads,
     rows = registry.family(family);
     if (rows.empty()) {
       std::fprintf(stderr, "unknown kernel family '%s'\n", family.c_str());
-      return 1;
+      return support::status_exit_code(support::StatusCode::kInvalidInput);
     }
   }
   kernels::CorpusOptions options;
@@ -488,7 +488,7 @@ int main(int argc, char** argv) {
     std::ifstream f(path);
     if (!f) {
       std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
+      return support::status_exit_code(support::StatusCode::kInvalidInput);
     }
     std::ostringstream ss;
     ss << f.rdbuf();

@@ -4,9 +4,9 @@
 // translation units, and new families (attention, sparse_stencil, ...)
 // plug in the same way: a translation unit builds its `KernelEntry`
 // vector and self-registers it with a `FamilyRegistrar` at static-init
-// time.  Everything that enumerates the corpus — `analyze_corpus`, the
-// bench drivers, `analyze_tool --corpus/--family/--list-kernels`, the
-// golden tests — walks the registry instead of a hardcoded array.
+// time.  Everything that enumerates the corpus — the bench drivers,
+// `analyze_tool --corpus/--family/--list-kernels`, the golden tests —
+// walks the registry instead of a hardcoded array.
 //
 // See docs/ADDING_KERNELS.md for the end-to-end recipe (DSL source,
 // registration, golden bound) and the one linker subtlety of

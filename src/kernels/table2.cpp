@@ -34,35 +34,6 @@ sym::Expr analyze_kernel(const KernelEntry& entry, std::size_t threads,
   return bound->Q_leading;
 }
 
-std::vector<sym::Expr> analyze_corpus(std::size_t threads,
-                                      support::ExecutorRef executor) {
-  std::vector<const KernelEntry*> all;
-  for (const KernelEntry& k : Registry::instance().kernels()) {
-    all.push_back(&k);
-  }
-  return analyze_corpus(all, threads, executor);
-}
-
-std::vector<sym::Expr> analyze_corpus(
-    const std::vector<const KernelEntry*>& kernels, std::size_t threads,
-    support::ExecutorRef executor) {
-  support::ParallelOptions par;
-  par.threads = threads;
-  par.executor = executor;
-  // Kernels are claimed concurrently, and each kernel's inner analysis
-  // pipeline shards its subgraphs across the same executor with the same
-  // budget.  While many kernels are in flight the executor is saturated
-  // either way; once only a long kernel remains, its subgraph shards fan
-  // out over the now-idle workers.  Caller participation at both levels
-  // means a starved executor degrades to serial instead of deadlocking,
-  // and per-kernel determinism makes the nesting invisible in the output.
-  return support::parallel_map<sym::Expr>(
-      kernels.size(), par,
-      [&kernels, threads, executor](std::size_t i) {
-        return analyze_kernel(*kernels[i], threads, executor);
-      });
-}
-
 const KernelEntry& kernel_by_name(const std::string& name) {
   return Registry::instance().at(name);
 }
@@ -145,6 +116,13 @@ CorpusReport analyze_corpus_resilient(
   support::ParallelOptions par;
   par.threads = options.threads;
   par.executor = options.executor;
+  // Kernels are claimed concurrently, and each kernel's subgraph
+  // parallel_map fans out over the same executor with the same budget.
+  // While many kernels are in flight the executor is saturated either way;
+  // once only a long kernel remains, its subgraphs spread over the idle
+  // workers.  Caller participation at both levels means a starved executor
+  // degrades to serial instead of deadlocking.
+  //
   // Deliberately no par.cancel: cancellation must not abort the batch —
   // each kernel observes the token itself and records kCancelled in its own
   // slot, preserving the partial results the resilient contract promises.

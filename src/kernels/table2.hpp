@@ -55,23 +55,6 @@ sym::Expr analyze_kernel(const KernelEntry& entry);
 sym::Expr analyze_kernel(const KernelEntry& entry, std::size_t threads,
                          support::ExecutorRef executor = {});
 
-/// Analyzes the whole registered corpus (every family, registry order) as
-/// one batch of (kernel x subgraph-shard) work items: kernels are claimed
-/// concurrently AND each kernel's own analysis pipeline shards its
-/// subgraphs across the same executor, so a long-tail kernel
-/// (bert_encoder) spreads over every idle worker instead of serializing
-/// the batch the way kernel-granularity sharding did.  Slot i holds the
-/// bound of Registry::instance().kernels()[i]; the result is bit-identical
-/// for every thread count and executor.
-std::vector<sym::Expr> analyze_corpus(std::size_t threads = 1,
-                                      support::ExecutorRef executor = {});
-
-/// Same batch, restricted to an explicit kernel subset (e.g. one family or
-/// the original Table 2 rows); slot i holds the bound of kernels[i].
-std::vector<sym::Expr> analyze_corpus(
-    const std::vector<const KernelEntry*>& kernels, std::size_t threads = 1,
-    support::ExecutorRef executor = {});
-
 /// Lookup across the whole registry by name; throws std::out_of_range when
 /// missing.  Equivalent to Registry::instance().at(name).
 const KernelEntry& kernel_by_name(const std::string& name);
@@ -124,10 +107,14 @@ KernelOutcome analyze_kernel_checked(
     support::ExecutorRef executor = {},
     const support::StopCriteria& stop = {});
 
-/// analyze_corpus that survives per-kernel failures: same slot-per-kernel
-/// determinism, but a kernel that fails (or degrades) reports its status in
-/// its own slot instead of aborting the batch — partial results plus a
-/// failure summary, never all-or-nothing.
+/// Analyzes `kernels` as one batch of (kernel x subgraph) work items:
+/// kernels are claimed concurrently AND each kernel's subgraph analysis
+/// fans out over the same executor, so a long-tail kernel spreads over
+/// every idle worker instead of serializing the batch.  Slot i holds the
+/// outcome of kernels[i], bit-identical for every thread count and
+/// executor.  A kernel that fails (or degrades) reports its status in its
+/// own slot instead of aborting the batch — partial results plus a failure
+/// summary, never all-or-nothing.
 CorpusReport analyze_corpus_resilient(
     const std::vector<const KernelEntry*>& kernels,
     const CorpusOptions& options = {});

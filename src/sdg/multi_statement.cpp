@@ -8,7 +8,7 @@
 
 #include "bounds/intensity.hpp"
 #include "sdg/subgraph.hpp"
-#include "support/pipeline.hpp"
+#include "support/parallel.hpp"
 #include "support/sym_map.hpp"
 #include "symbolic/leading.hpp"
 
@@ -106,50 +106,46 @@ std::optional<MultiStatementBound> derive_bound(const Program& program,
                                                 const SdgOptions& options) {
   Sdg sdg = Sdg::build(program);
 
-  // The per-subgraph chain merge_subgraph -> derive_chi -> minimize_intensity
-  // -> eval is independent per subgraph.  The pipeline decides only *who*
-  // analyzes a subgraph: results are reduced into `evaluated` in canonical
-  // enumeration order, so `evaluated` — and every reduction below — is
-  // identical for any thread count and executor.
-  std::vector<Evaluated> evaluated;
-  RhoValueCache rho_cache;
-  auto analyze_one =
-      [&](std::vector<std::string>&& arrays) -> std::optional<Evaluated> {
-    MergedSubgraph merged = merge_subgraph(sdg, arrays);
-    auto chi =
-        bounds::derive_chi(merged.problem, options.stop, options.optimizer);
-    // Unbounded intensity: no constraint from this subgraph.
-    if (!chi) return std::nullopt;
-    bounds::IntensityResult in = bounds::minimize_intensity(*chi);
-    double value = rho_cache.value(in.rho);
-    if (!std::isfinite(value) || value <= 0) return std::nullopt;
-    return Evaluated{std::move(arrays), in.rho, value};
-  };
-
-  // Staged pipeline: the enumeration producer streams each subgraph into
-  // the analysis stage the moment it is generated — per-subgraph analysis
-  // overlaps with the enumeration of the next level — and the ordered sink
-  // appends results by sequence index.  At threads = 1 it runs as a plain
-  // emit -> analyze -> append loop, the determinism reference.
-  support::PipelineOptions pipe;
-  pipe.workers = options.threads;
-  pipe.executor = options.executor;
-  pipe.cancel = options.stop.cancel;
+  // Enumerate first: the walk is cheap next to the analysis and capped by
+  // max_subgraphs, so materializing it bounds memory and lets the
+  // stop criteria trip before any subgraph is analyzed.
+  std::vector<std::vector<std::string>> subgraphs;
   EnumerationGuard guard(options.stop);
-  support::run_pipeline<std::vector<std::string>>(
-      pipe,
-      [&](const std::function<bool(std::vector<std::string> &&)>& emit) {
-        for_each_subgraph(sdg, options.max_subgraph_size,
-                          options.max_subgraphs,
-                          [&](std::vector<std::string>&& arrays) {
-                            guard.poll();
-                            return emit(std::move(arrays));
-                          });
-      },
-      analyze_one,
-      [&](std::size_t, std::optional<Evaluated>&& slot) {
-        if (slot) evaluated.push_back(std::move(*slot));
-      });
+  for_each_subgraph(sdg, options.max_subgraph_size, options.max_subgraphs,
+                    [&](std::vector<std::string>&& arrays) {
+                      guard.poll();
+                      subgraphs.push_back(std::move(arrays));
+                      return true;
+                    });
+
+  // The per-subgraph chain merge_subgraph -> derive_chi -> minimize_intensity
+  // -> eval is independent per subgraph.  parallel_map decides only *who*
+  // analyzes a subgraph: results land in per-index slots and are appended
+  // in canonical enumeration order, so `evaluated` — and every reduction
+  // below — is identical for any thread count and executor.
+  RhoValueCache rho_cache;
+  support::ParallelOptions par;
+  par.threads = options.threads;
+  par.executor = options.executor;
+  par.cancel = options.stop.cancel;
+  std::vector<std::optional<Evaluated>> slots =
+      support::parallel_map<std::optional<Evaluated>>(
+          subgraphs.size(), par,
+          [&](std::size_t i) -> std::optional<Evaluated> {
+            MergedSubgraph merged = merge_subgraph(sdg, subgraphs[i]);
+            auto chi = bounds::derive_chi(merged.problem, options.stop,
+                                          options.optimizer);
+            // Unbounded intensity: no constraint from this subgraph.
+            if (!chi) return std::nullopt;
+            bounds::IntensityResult in = bounds::minimize_intensity(*chi);
+            double value = rho_cache.value(in.rho);
+            if (!std::isfinite(value) || value <= 0) return std::nullopt;
+            return Evaluated{std::move(subgraphs[i]), in.rho, value};
+          });
+  std::vector<Evaluated> evaluated;
+  for (std::optional<Evaluated>& slot : slots) {
+    if (slot) evaluated.push_back(std::move(*slot));
+  }
 
   MultiStatementBound out;
   out.subgraphs_evaluated = evaluated.size();

@@ -22,14 +22,16 @@ namespace soap::sdg {
 struct SdgOptions {
   /// Largest subgraph cardinality enumerated; 1 disables fusion analysis.
   std::size_t max_subgraph_size = 4;
-  /// Cap on the total number of subgraphs enumerated (the streaming
-  /// producer stops exactly here; corpus programs stay far below it).
+  /// Cap on the total number of subgraphs enumerated (enumeration stops
+  /// exactly here, which also bounds the materialized subgraph list;
+  /// corpus programs stay far below it).
   std::size_t max_subgraphs = 100000;
   /// Worker budget for the per-subgraph analysis (merge -> chi -> minimize
   /// -> eval), counting the calling thread: 1 = serial (default, bypasses
   /// the pool entirely), 0 = all hardware threads, N = up to N.  The result
-  /// is bit-identical for every value — sharding only changes who computes
-  /// each subgraph, never what is computed or the order it is reduced in.
+  /// is bit-identical for every value — the parallel_map fan-out only
+  /// changes who computes each subgraph, never what is computed or the
+  /// order it is reduced in.
   std::size_t threads = 1;
   /// Where helper workers run: the process-global pool by default; inject a
   /// private pool or ExecutorRef::serial() to override (helper fan-out is

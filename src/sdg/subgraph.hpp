@@ -19,8 +19,8 @@ using SubgraphSink = std::function<bool(std::vector<std::string>&&)>;
 
 /// Streaming enumeration of the connected subsets of the computed arrays:
 /// each subset is handed to `sink` the moment it is generated, so a
-/// consumer — e.g. the staged analysis pipeline — can process subgraphs
-/// while the enumeration of the next level is still in progress.  Subsets
+/// consumer can collect, filter, or stop early without materializing the
+/// whole enumeration.  Subsets
 /// are emitted in canonical order (by cardinality, then generation order
 /// within a level: level k+1 grows every level-k subset by one adjacent
 /// vertex, deduplicated); generation stops exactly at `max_count` emitted

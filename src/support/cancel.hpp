@@ -1,12 +1,12 @@
 // Termination and degradation primitives for the analysis stack.
 //
 // Every long-running layer (subgraph enumeration, the numeric optimizer,
-// corpus/attainment sweeps, the staged pipeline) accepts a `StopCriteria`
+// corpus/attainment sweeps, parallel_for) accepts a `StopCriteria`
 // and polls it at chunk boundaries.  The criteria aggregate three
 // independent stop signals:
 //
 //   * CancellationToken — external, thread-safe request to stop (a service
-//     frontend dropping a request, a test tearing a pipeline down).
+//     frontend dropping a request, a test tearing a parallel loop down).
 //   * Deadline — a wall-clock budget on the whole derivation.
 //   * ResourceBudget — caps on interned symbolic nodes (polled against the
 //     sharded table's live count via a registered gauge), enumerated

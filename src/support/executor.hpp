@@ -1,9 +1,10 @@
 // The injectable execution backend of the parallel subsystem.
 //
-// Every structured-parallel layer (parallel_for/parallel_map, the staged
-// pipeline, the sharded pebble-game validation) submits plain helper thunks
-// through the `Executor` interface instead of talking to a concrete thread
-// pool, so callers can swap the backend — the process-global pool, a private
+// Every structured-parallel layer (parallel_for/parallel_map and what runs
+// on it: the subgraph fan-out, the corpus and attainment sweeps, the sharded
+// pebble-game validation) submits plain helper thunks through the
+// `Executor` interface instead of talking to a concrete thread pool, so
+// callers can swap the backend — the process-global pool, a private
 // fixed-size pool, or the serial executor — without touching the algorithms.
 //
 // `concurrency()` is the contract that makes the serial bypass zero-overhead:
@@ -35,7 +36,7 @@ class Executor {
 
 /// Degenerate executor: `submit` runs the task inline on the calling thread.
 /// `concurrency()` is 0, so the structured layers never actually submit to
-/// it — injecting one forces every loop and pipeline onto the caller, which
+/// it — injecting one forces every parallel loop onto the caller, which
 /// is the deterministic reference schedule the parity tests compare against.
 /// (Direct `submit` is only safe for tasks that do not wait on the
 /// submitting thread.)

@@ -4,8 +4,8 @@
 // The pool is deliberately minimal: a mutex/condvar task queue and N
 // detachedly-long-lived workers.  All structured parallelism (sharding,
 // result collection, exception propagation, nested-use safety) lives one
-// layer up in support/parallel.hpp and support/pipeline.hpp, which submit
-// plain thunks here through the Executor interface.
+// layer up in support/parallel.hpp, which submits plain thunks here through
+// the Executor interface.
 //
 // Thread-safety contract: `submit` may be called concurrently from any
 // thread, including from inside a running task (nested submission never

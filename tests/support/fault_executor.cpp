@@ -1,4 +1,4 @@
-#include "support/fault_executor.hpp"
+#include "fault_executor.hpp"
 
 #include <chrono>
 #include <thread>

@@ -7,15 +7,14 @@
 // under an adversarial schedule.  Three fault modes, composable:
 //
 //   * delay    — the helper sleeps a seeded duration before running, which
-//                exercises reorder-window stalls and help-first
-//                backpressure on the producer.
+//                shifts which indices the caller claims itself.
 //   * drop     — the submitted thunk never runs (a lost or crashed helper;
 //                internally the decorator raises and swallows a
 //                FaultInjectedError so the "thrown task" path is exercised
 //                without tearing down the inner pool's worker).  Progress
 //                must not depend on any helper actually running — the
-//                pipeline/parallel_for contract — so dropped tasks must
-//                never hang a run.
+//                parallel_for contract — so dropped tasks must never hang
+//                a run.
 //   * reorder  — submissions are buffered and released to the inner
 //                executor in a seeded shuffle, up to `reorder_window` held
 //                at a time.

@@ -1,8 +1,9 @@
 // The parallel-execution subsystem (support/thread_pool.*, support/
 // parallel.*): coverage, determinism of index-slotted collection, the
 // serial fallback, exception propagation, nested use on a starved pool,
-// and thread-count resolution.  Labeled `parallel` so the TSan CI job can
-// select exactly the suites that exercise concurrency.
+// cooperative cancellation, and thread-count resolution.  Labeled
+// `parallel` so the TSan CI job can select exactly the suites that exercise
+// concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/cancel.hpp"
 #include "support/executor.hpp"
 #include "support/parallel.hpp"
 #include "support/thread_pool.hpp"
@@ -291,6 +293,45 @@ TEST(ParallelFor, ConcurrentParallelForsFromManyThreads) {
   }
   for (std::thread& c : callers) c.join();
   EXPECT_EQ(sum.load(), 4u * (500u * 499u / 2));
+}
+
+TEST(ParallelFor, PreTrippedTokenCancelsSerialAndParallel) {
+  for (std::size_t threads : {1u, 4u}) {
+    CancellationSource source;
+    source.request_cancel();
+    ParallelOptions opt;
+    opt.threads = threads;
+    opt.cancel = source.token();
+    std::atomic<std::size_t> ran{0};
+    try {
+      parallel_for(100, opt, [&](std::size_t) { ran.fetch_add(1); });
+      FAIL() << "expected AnalysisError{kCancelled} with " << threads
+             << " threads";
+    } catch (const AnalysisError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kCancelled);
+    }
+    EXPECT_EQ(ran.load(), 0u) << threads << " threads";
+  }
+}
+
+TEST(ParallelFor, CancelMidRunStopsClaimingChunks) {
+  ThreadPool pool(4);
+  CancellationSource source;
+  ParallelOptions opt;
+  opt.threads = 4;
+  opt.executor = ExecutorRef(pool);
+  opt.cancel = source.token();
+  std::atomic<std::size_t> ran{0};
+  try {
+    parallel_for(100000, opt, [&](std::size_t) {
+      if (ran.fetch_add(1) == 64) source.request_cancel();
+      std::this_thread::sleep_for(std::chrono::microseconds(10));
+    });
+    FAIL() << "expected AnalysisError{kCancelled}";
+  } catch (const AnalysisError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kCancelled);
+  }
+  EXPECT_LT(ran.load(), 100000u);
 }
 
 }  // namespace

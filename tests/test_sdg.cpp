@@ -189,7 +189,7 @@ for i in range(1, I - 1):
 }
 
 TEST(Sdg, PerSubgraphStreamingMatchesMaterializedEnumeration) {
-  // The pipelined producer: one subset per sink call, canonical order
+  // The streaming producer: one subset per sink call, canonical order
   // (by cardinality, then generation order).
   Program p = figure2();
   Sdg g = Sdg::build(p);

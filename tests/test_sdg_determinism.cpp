@@ -2,10 +2,11 @@
 // for every registered corpus application the full MultiStatementBound — Q
 // renderings, per-array rho expressions and reference values (compared
 // bit-exactly), best subgraphs, and subgraph counts — must be identical for
-// threads = 2 / 8 / 0(hardware) to the threads = 1 run, where the pipeline
-// is a plain emit -> analyze -> append loop (the determinism reference).
-// The pipeline is also checked against a level-synchronous oracle rebuilt
-// here from the public per-subgraph steps.  Expr comparisons use
+// threads = 2 / 8 / 0(hardware) to the threads = 1 run, where the
+// derivation is a plain enumerate -> analyze -> append loop (the
+// determinism reference).  The parallel_map fan-out is also checked against
+// a level-synchronous oracle rebuilt here from the public per-subgraph
+// steps.  Expr comparisons use
 // operator==, which under hash-consing is pointer identity: the strongest
 // possible "bit-identical" statement within a run.  Labeled `parallel` for
 // the TSan CI job.
@@ -22,13 +23,13 @@
 
 #include "bounds/intensity.hpp"
 #include "bounds/optimizer.hpp"
+#include "fault_executor.hpp"
 #include "frontend/lower.hpp"
 #include "kernels/table2.hpp"
 #include "sdg/merge.hpp"
 #include "sdg/multi_statement.hpp"
 #include "sdg/subgraph.hpp"
 #include "support/executor.hpp"
-#include "support/fault_executor.hpp"
 #include "support/interner.hpp"
 #include "support/parallel.hpp"
 #include "support/sym_map.hpp"
@@ -135,9 +136,8 @@ TEST_P(CorpusDeterminism, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Level-synchronous oracle: the schedule the staged pipeline replaced,
-// rebuilt from the public per-subgraph steps (merge -> chi -> minimize ->
-// eval).  Each enumeration level is materialized, sharded with
+// Level-synchronous oracle: an independent schedule rebuilt from the
+// public per-subgraph steps (merge -> chi -> minimize -> eval).  Each enumeration level is materialized, sharded with
 // parallel_map, and reduced in canonical order after a barrier; the
 // per-array best candidate (ties keep the earliest-enumerated subgraph) is
 // what MultiStatementBound::per_array must report.
@@ -201,7 +201,8 @@ LevelSyncOracle level_sync_oracle(const Program& program,
 }
 
 TEST_P(CorpusDeterminism, PipelinedMatchesLevelSyncAtEveryThreadCount) {
-  // The staged pipeline must reproduce the level-synchronous schedule's
+  // The whole-enumeration parallel_map fan-out (the test keeps its
+  // historical name) must reproduce the level-synchronous schedule's
   // per-array bounds bit for bit at every thread count (pointer-identical
   // Exprs, bit-exact doubles, same best subgraphs and subgraph count).
   const kernels::KernelEntry& k = kernels::kernel_by_name(GetParam());
