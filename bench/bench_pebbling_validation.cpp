@@ -30,7 +30,7 @@ struct ValidationSpec {
 };
 
 int run(const std::vector<ValidationSpec>& specs, std::size_t threads) {
-  pebbles::ShardOptions shard;
+  support::ParallelOptions shard;
   shard.threads = threads;
 
   // Stage 1: parse + analytic bounds (cheap, serial), then instantiate

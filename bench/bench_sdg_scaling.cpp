@@ -109,7 +109,7 @@ for i in range(N):
   soap::pebbles::Cdag cdag = soap::pebbles::instantiate(p, {{"N", 6}});
   std::vector<soap::pebbles::PebbleCase> cases;
   for (std::size_t S = 4; S <= 40; S += 2) cases.push_back({&cdag, S});
-  soap::pebbles::ShardOptions shard;
+  soap::support::ParallelOptions shard;
   shard.threads = static_cast<std::size_t>(state.range(0));
   std::size_t consistent = 0;
   for (auto _ : state) {

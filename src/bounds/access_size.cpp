@@ -2,92 +2,21 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 namespace soap::bounds {
 
-namespace {
-
-using sym::Expr;
-
-Expr extent_expr(const DimSpec& d) {
-  if (d.vars.empty()) return Expr(1);
-  if (d.mode == DimSpec::Mode::kMax) {
-    sym::ExprVec args;
-    args.reserve(d.vars.size());
-    for (const std::string& v : d.vars) args.push_back(Expr::symbol(v));
-    return sym::max(std::move(args));
-  }
-  sym::ExprVec factors;
-  factors.reserve(d.vars.size());
-  for (const std::string& v : d.vars) factors.push_back(Expr::symbol(v));
-  return sym::make_mul(std::move(factors));
-}
-
-double extent_eval(const DimSpec& d,
-                   const std::map<std::string, double>& tiles) {
-  if (d.vars.empty()) return 1.0;
-  double out = d.mode == DimSpec::Mode::kMax ? 0.0 : 1.0;
-  for (const std::string& v : d.vars) {
-    auto it = tiles.find(v);
-    if (it == tiles.end())
-      throw std::out_of_range("AccessTerm::eval: unbound tile " + v);
-    if (d.mode == DimSpec::Mode::kMax) {
-      out = std::max(out, it->second);
-    } else {
-      out *= it->second;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Expr AccessTerm::size_expr() const {
-  sym::ExprVec extents;
-  sym::ExprVec extents_minus;
-  bool any_offset = false;
-  for (const DimSpec& d : dims) {
-    Expr e = extent_expr(d);
-    extents.push_back(e);
-    extents_minus.push_back(e - Expr(d.offsets));
-    if (d.offsets > 0) any_offset = true;
-  }
-  Expr prod = sym::make_mul(std::move(extents));
-  Expr prod_minus = sym::make_mul(std::move(extents_minus));
-  switch (kind) {
-    case TermKind::kPlain:
-      if (!any_offset) return prod;
-      return Expr(2) * prod - prod_minus;
-    case TermKind::kInputOutput:
-      return prod - prod_minus;
-    case TermKind::kVersioned:
-    case TermKind::kOutput:
-      return prod;
-  }
-  throw std::logic_error("AccessTerm::size_expr: bad kind");
-}
-
-double AccessTerm::eval(const std::map<std::string, double>& tiles) const {
-  AccessSizeFold fold;
-  for (const DimSpec& d : dims) {
-    fold.add(extent_eval(d, tiles), static_cast<double>(d.offsets));
-  }
-  return fold.value(kind);
-}
-
-std::vector<std::vector<std::string>> AccessTerm::lp_monomials() const {
+std::vector<std::vector<std::size_t>> AccessTerm::lp_monomials() const {
   // Per-dimension variable-set choices: a kProduct dimension contributes all
   // of its variables, a kMax dimension contributes one variable at a time
   // (the constraint must hold for every choice since max(x,y) >= each).
-  std::vector<std::vector<std::vector<std::string>>> choices;
+  std::vector<std::vector<std::vector<std::size_t>>> choices;
   for (const DimSpec& d : dims) {
     if (d.vars.empty()) {
       choices.push_back({{}});
     } else if (d.mode == DimSpec::Mode::kMax) {
-      std::vector<std::vector<std::string>> c;
-      for (const std::string& v : d.vars) c.push_back({v});
+      std::vector<std::vector<std::size_t>> c;
+      for (std::size_t v : d.vars) c.push_back({v});
       choices.push_back(std::move(c));
     } else {
       choices.push_back({d.vars});
@@ -118,14 +47,14 @@ std::vector<std::vector<std::string>> AccessTerm::lp_monomials() const {
     dim_subsets.push_back(std::move(all));
   }
   // Expand the kMax choices for every subset.
-  std::vector<std::vector<std::string>> out;
+  std::vector<std::vector<std::size_t>> out;
   for (const auto& subset : dim_subsets) {
-    std::vector<std::set<std::string>> partial = {{}};
+    std::vector<std::set<std::size_t>> partial = {{}};
     for (std::size_t i : subset) {
-      std::vector<std::set<std::string>> next;
+      std::vector<std::set<std::size_t>> next;
       for (const auto& p : partial) {
         for (const auto& choice : choices[i]) {
-          std::set<std::string> q = p;
+          std::set<std::size_t> q = p;
           q.insert(choice.begin(), choice.end());
           next.push_back(std::move(q));
         }
@@ -153,12 +82,12 @@ std::vector<AccessTerm::SignedMonomial> AccessTerm::signed_monomials() const {
   const std::size_t n = dims.size();
   if (n > 20) throw std::logic_error("signed_monomials: too many dims");
   auto dim_monomial = [&](std::size_t i) {
-    std::map<std::string, int> m;
-    for (const std::string& v : dims[i].vars) m[v] += 1;
+    MonomialDegrees m;
+    for (std::size_t v : dims[i].vars) m[v] += 1;
     return m;
   };
   std::vector<SignedMonomial> out;
-  auto add = [&out](std::map<std::string, int> degrees, Rational coeff) {
+  auto add = [&out](MonomialDegrees degrees, Rational coeff) {
     for (SignedMonomial& m : out) {
       if (m.degrees == degrees) {
         m.coeff += coeff;
@@ -168,7 +97,7 @@ std::vector<AccessTerm::SignedMonomial> AccessTerm::signed_monomials() const {
     out.push_back({std::move(degrees), coeff});
   };
   auto full_product = [&]() {
-    std::map<std::string, int> m;
+    MonomialDegrees m;
     for (std::size_t i = 0; i < n; ++i) {
       for (const auto& [v, d] : dim_monomial(i)) m[v] += d;
     }
@@ -178,7 +107,7 @@ std::vector<AccessTerm::SignedMonomial> AccessTerm::signed_monomials() const {
   auto add_difference = [&]() {
     for (std::size_t mask = 1; mask < (1u << n); ++mask) {
       Rational coeff = 1;
-      std::map<std::string, int> degs;
+      MonomialDegrees degs;
       int bits = 0;
       bool zero = false;
       for (std::size_t i = 0; i < n; ++i) {
@@ -222,26 +151,6 @@ std::vector<AccessTerm::SignedMonomial> AccessTerm::signed_monomials() const {
   return out;
 }
 
-std::string AccessTerm::str() const {
-  std::ostringstream os;
-  os << array << ": |A| = " << size_expr().str();
-  switch (kind) {
-    case TermKind::kPlain:
-      os << "  (Lemma 3)";
-      break;
-    case TermKind::kInputOutput:
-      os << "  (Corollary 1)";
-      break;
-    case TermKind::kVersioned:
-      os << "  (version dimension)";
-      break;
-    case TermKind::kOutput:
-      os << "  (output / minimum set)";
-      break;
-  }
-  return os.str();
-}
-
 namespace {
 
 DimSpec::Mode dim_mode(const Statement& st, const std::string& array,
@@ -254,20 +163,24 @@ DimSpec::Mode dim_mode(const Statement& st, const std::string& array,
 }
 
 std::vector<DimSpec> dims_from_access(const Statement& st,
+                                      const std::vector<std::string>& vars,
                                       const ArrayAccess& acc,
                                       const std::vector<long long>& offsets) {
   std::vector<DimSpec> out;
   const AccessComponent& base = acc.components[0];
   // A variable indexing several dimensions (diagonal accesses like A[k,k])
   // contributes its tile extent only once: the number of distinct index
-  // tuples is the product over *distinct* variables.
-  std::set<std::string> seen;
+  // tuples is the product over *distinct* variables.  Symbols outside the
+  // domain (parameters) have no tile.
+  std::set<std::size_t> seen;
   for (std::size_t d = 0; d < base.index.size(); ++d) {
     DimSpec spec;
     spec.mode = dim_mode(st, acc.array, static_cast<int>(d));
     for (const std::string& v : base.index[d].variables()) {
-      if (st.domain.has_variable(v) && seen.insert(v).second) {
-        spec.vars.push_back(v);
+      const auto pos = static_cast<std::size_t>(
+          std::find(vars.begin(), vars.end(), v) - vars.begin());
+      if (pos < vars.size() && seen.insert(pos).second) {
+        spec.vars.push_back(pos);
       }
     }
     spec.offsets = d < offsets.size() ? offsets[d] : 0;
@@ -276,8 +189,8 @@ std::vector<DimSpec> dims_from_access(const Statement& st,
   return out;
 }
 
-// Variables of the statement's domain not appearing anywhere in the access.
-std::vector<std::string> free_variables(const Statement& st,
+// Positions of the tile variables not appearing anywhere in the access.
+std::vector<std::size_t> free_variables(const std::vector<std::string>& vars,
                                         const ArrayAccess& acc) {
   std::set<std::string> used;
   for (const AccessComponent& c : acc.components) {
@@ -285,9 +198,9 @@ std::vector<std::string> free_variables(const Statement& st,
       for (const std::string& v : idx.variables()) used.insert(v);
     }
   }
-  std::vector<std::string> out;
-  for (const std::string& v : st.domain.variables()) {
-    if (!used.count(v)) out.push_back(v);
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    if (!used.count(vars[i])) out.push_back(i);
   }
   return out;
 }
@@ -297,9 +210,7 @@ std::vector<std::string> free_variables(const Statement& st,
 StatementAnalysis analyze_statement(const Statement& st) {
   StatementAnalysis out;
   out.tile_vars = st.domain.variables();
-  sym::Polynomial card = st.domain.cardinality();
-  out.domain_size = card.to_expr();
-  out.domain_size_leading = card.leading_terms().to_expr();
+  const std::vector<std::string>& vars = out.tile_vars;
 
   for (const ArrayAccess& acc : st.inputs) {
     AccessTerm term;
@@ -310,12 +221,13 @@ StatementAnalysis analyze_statement(const Statement& st) {
       auto trans = simple_overlap_translations(acc);
       if (trans) {
         term.kind = TermKind::kPlain;
-        term.dims = dims_from_access(st, acc, access_offset_counts(*trans));
+        term.dims =
+            dims_from_access(st, vars, acc, access_offset_counts(*trans));
       } else {
         // Conservative fallback: a single component already needs the full
         // product (Lemma 2), which is a valid lower bound on |A|.
         term.kind = TermKind::kPlain;
-        term.dims = dims_from_access(st, acc, {});
+        term.dims = dims_from_access(st, vars, acc, {});
       }
       out.input_terms.push_back(std::move(term));
       continue;
@@ -328,12 +240,12 @@ StatementAnalysis analyze_statement(const Statement& st) {
     auto trans = simple_overlap_translations(joint);
     if (!trans) {
       term.kind = TermKind::kPlain;
-      term.dims = dims_from_access(st, acc, {});
+      term.dims = dims_from_access(st, vars, acc, {});
       out.input_terms.push_back(std::move(term));
       continue;
     }
     term.kind = TermKind::kInputOutput;
-    term.dims = dims_from_access(st, joint, access_offset_counts(*trans));
+    term.dims = dims_from_access(st, vars, joint, access_offset_counts(*trans));
 
     // Section 5.2: identical input and output access functions require the
     // version dimension (offset 1, extent = the free iteration variables).
@@ -348,7 +260,7 @@ StatementAnalysis analyze_statement(const Statement& st) {
       // the access (it then versions the element).  With no free variables
       // each element has a single in-tile version and the identical read is
       // internal.
-      std::vector<std::string> free_vars = free_variables(st, joint);
+      std::vector<std::size_t> free_vars = free_variables(vars, joint);
       if (!free_vars.empty()) {
         DimSpec version;
         version.mode = DimSpec::Mode::kProduct;
@@ -371,7 +283,7 @@ StatementAnalysis analyze_statement(const Statement& st) {
     AccessTerm term;
     term.array = st.output.array;
     term.kind = TermKind::kOutput;
-    term.dims = dims_from_access(st, st.output, {});
+    term.dims = dims_from_access(st, vars, st.output, {});
     out.output_terms.push_back(std::move(term));
   }
   return out;

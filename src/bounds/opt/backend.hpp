@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -73,7 +72,9 @@ struct SolveResult {
 
 /// A numeric optimizer backend.  Implementations are stateless and
 /// process-wide (the registry below hands out singletons); solve() must be
-/// safe to call concurrently from any number of threads.
+/// safe to call concurrently from any number of threads.  solve() throws
+/// std::out_of_range, before searching, when a term or objective monomial
+/// names a tile variable at or past problem.vars.size().
 class OptimizerBackend {
  public:
   virtual ~OptimizerBackend() = default;
@@ -84,17 +85,5 @@ class OptimizerBackend {
 
 /// The process-wide backend registry: singletons, one per BackendKind.
 [[nodiscard]] const OptimizerBackend& backend(BackendKind kind);
-
-/// The feasibility projection every backend shares, exposed for the
-/// property tests: scales `tiles` by the largest uniform factor that keeps
-/// every constraint within budget X, clamping each tile at the paper's
-/// |D_t| >= 1.  The result lies on the budget surface (or at the clamp),
-/// satisfies every constraint, and is a fixed point of re-projection within
-/// bisection tolerance.  Returns std::nullopt when no feasible point exists
-/// (even the all-ones tile violates a constraint).  Throws
-/// std::out_of_range when `tiles` misses a variable.
-[[nodiscard]] std::optional<std::map<std::string, double>> project_feasible(
-    const OptimizationProblem& problem,
-    const std::map<std::string, double>& tiles, double X);
 
 }  // namespace soap::bounds::opt

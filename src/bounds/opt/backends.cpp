@@ -12,12 +12,13 @@
 //  * subplex      — compass/coordinate descent with step halving as an
 //    independent global phase, sharing only the local KKT refiner.
 //
-// Backends never throw: a StopCriteria trip inside the guard is caught and
-// surfaced as kStopReached with the AnalysisError stashed in the result.
+// Backends never throw on a well-formed problem: a StopCriteria trip inside
+// the guard is caught and surfaced as kStopReached with the AnalysisError
+// stashed in the result.  A tile index past `vars` is rejected up front with
+// std::out_of_range (check_tile_indices), before any search runs.
 
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -59,8 +60,7 @@ std::vector<std::vector<double>> base_seeds(const SolveRequest& request,
 // keep the best.  `converged` reports the winning start's convergence (the
 // all-zeros fallback point, used when every start is infeasible, counts as
 // not converged).
-SolveResult best_of_starts(const Evaluator& ev,
-                           const OptimizationProblem& problem,
+SolveResult best_of_starts(const OptimizationProblem& problem,
                            const SolveRequest& request,
                            const std::vector<std::vector<double>>& seeds,
                            int iters) {
@@ -69,14 +69,15 @@ SolveResult best_of_starts(const Evaluator& ev,
   std::vector<double> best_u(n, 0.0);
   bool best_converged = false;
   for (const auto& seed : seeds) {
-    SingleStart s = run_single_start(ev, request.X, seed, iters, request.guard);
+    SingleStart s =
+        run_single_start(problem, request.X, seed, iters, request.guard);
     if (s.objective > best_obj) {
       best_obj = s.objective;
       best_u = std::move(s.u);
       best_converged = s.converged;
     }
   }
-  return finish_solve(ev, problem, request.X, best_u, best_converged,
+  return finish_solve(problem, request.X, best_u, best_converged,
                       request.guard);
 }
 
@@ -100,10 +101,9 @@ class NelderMeadBackend final : public OptimizerBackend {
     const std::size_t n = problem.vars.size();
     const int iters =
         request.max_iterations > 0 ? request.max_iterations : kDefaultIterations;
+    check_tile_indices(problem);
     try {
-      Evaluator ev(problem);
-      return best_of_starts(ev, problem, request, base_seeds(request, n),
-                            iters);
+      return best_of_starts(problem, request, base_seeds(request, n), iters);
     } catch (const support::AnalysisError& err) {
       return stop_result(err, request);
     }
@@ -121,8 +121,8 @@ class MultistartBackend final : public OptimizerBackend {
     const std::size_t n = problem.vars.size();
     const int iters =
         request.max_iterations > 0 ? request.max_iterations : kDefaultIterations;
+    check_tile_indices(problem);
     try {
-      Evaluator ev(problem);
       std::vector<std::vector<double>> seeds = base_seeds(request, n);
       // Jittered restarts: kRestarts perturbed copies of every base seed,
       // amplitude in log-space (one e-fold covers a decent basin shift).
@@ -140,7 +140,7 @@ class MultistartBackend final : public OptimizerBackend {
           seeds.push_back(std::move(jittered));
         }
       }
-      return best_of_starts(ev, problem, request, seeds, iters);
+      return best_of_starts(problem, request, seeds, iters);
     } catch (const support::AnalysisError& err) {
       return stop_result(err, request);
     }
@@ -151,13 +151,14 @@ class MultistartBackend final : public OptimizerBackend {
 // through coordinates, try +/- the current step, accept improvements, halve
 // the step when a full sweep makes no progress.  Converged when the step
 // drops below tolerance.
-std::vector<double> compass_search(const Evaluator& ev, double X,
-                                   std::vector<double> start, int iters,
+std::vector<double> compass_search(const OptimizationProblem& problem,
+                                   double X, std::vector<double> start,
+                                   int iters,
                                    EvalGuard* guard, bool* converged) {
   *converged = false;
   std::vector<double> u = std::move(start);
   const std::size_t n = u.size();
-  double f = projected_objective(ev, u, X, guard);
+  double f = projected_objective(problem, u, X, guard);
   double step = 2.0;
   for (int it = 0; it < iters; ++it) {
     bool improved = false;
@@ -165,7 +166,7 @@ std::vector<double> compass_search(const Evaluator& ev, double X,
       for (double dir : {1.0, -1.0}) {
         std::vector<double> trial = u;
         trial[i] += dir * step;
-        double ft = projected_objective(ev, trial, X, guard);
+        double ft = projected_objective(problem, trial, X, guard);
         if (ft > f) {
           f = ft;
           u = std::move(trial);
@@ -196,24 +197,24 @@ class SubplexBackend final : public OptimizerBackend {
     const std::size_t n = problem.vars.size();
     const int iters =
         request.max_iterations > 0 ? request.max_iterations : kDefaultIterations;
+    check_tile_indices(problem);
     try {
-      Evaluator ev(problem);
       double best_obj = -1e300;
       std::vector<double> best_u(n, 0.0);
       bool best_converged = false;
       for (const auto& seed : base_seeds(request, n)) {
         bool conv = false;
-        std::vector<double> u = compass_search(ev, request.X, seed, iters,
+        std::vector<double> u = compass_search(problem, request.X, seed, iters,
                                                request.guard, &conv);
-        kkt_polish(ev, request.X, &u, request.guard);
-        double obj = projected_objective(ev, u, request.X, request.guard);
+        kkt_polish(problem, request.X, &u, request.guard);
+        double obj = projected_objective(problem, u, request.X, request.guard);
         if (obj > best_obj) {
           best_obj = obj;
           best_u = std::move(u);
           best_converged = conv;
         }
       }
-      return finish_solve(ev, problem, request.X, best_u, best_converged,
+      return finish_solve(problem, request.X, best_u, best_converged,
                           request.guard);
     } catch (const support::AnalysisError& err) {
       return stop_result(err, request);
@@ -236,29 +237,6 @@ const OptimizerBackend& backend(BackendKind kind) {
       break;
   }
   return nelder_mead;
-}
-
-std::optional<std::map<std::string, double>> project_feasible(
-    const OptimizationProblem& problem,
-    const std::map<std::string, double>& tiles, double X) {
-  const std::size_t n = problem.vars.size();
-  Evaluator ev(problem);
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto it = tiles.find(problem.vars[i]);
-    if (it == tiles.end()) {
-      throw std::out_of_range("project_feasible: missing tile " +
-                              problem.vars[i]);
-    }
-    x[i] = it->second;
-  }
-  double m = feasible_scale(ev, x, X);
-  if (m == 0.0) return std::nullopt;
-  std::map<std::string, double> out;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[problem.vars[i]] = clamp_tile(m * x[i]);
-  }
-  return out;
 }
 
 }  // namespace soap::bounds::opt

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -20,88 +19,62 @@ void EvalGuard::tick() {
   if ((ticks & 31u) == 0) stop->enforce("numeric optimizer");
 }
 
-double CompiledTerm::eval(const std::vector<double>& x) const {
-  // Same counting rules as AccessTerm::eval, via the shared fold.
-  AccessSizeFold fold;
-  for (const CompiledDim& d : dims) {
-    // Empty dimensions have extent 1; kMax starts from 0 and takes maxima.
-    double extent = d.vars.empty()                ? 1.0
-                    : d.mode == DimSpec::Mode::kMax ? 0.0
-                                                    : 1.0;
-    for (std::size_t v : d.vars) {
-      extent = d.mode == DimSpec::Mode::kMax ? std::max(extent, x[v])
-                                             : extent * x[v];
+void check_tile_indices(const OptimizationProblem& problem) {
+  const std::size_t n = problem.vars.size();
+  auto check = [n](std::size_t v) {
+    if (v >= n) {
+      throw std::out_of_range("OptimizationProblem: tile variable index " +
+                              std::to_string(v) + " >= " + std::to_string(n));
     }
-    fold.add(extent, d.offsets);
-  }
-  return fold.value(kind);
-}
-
-Evaluator::Evaluator(const OptimizationProblem& p) : problem(p) {
-  std::map<std::string, std::size_t> index;
-  for (std::size_t i = 0; i < p.vars.size(); ++i) index[p.vars[i]] = i;
-  auto compile_term = [&index](const AccessTerm& t) {
-    CompiledTerm out;
-    out.kind = t.kind;
-    out.dims.reserve(t.dims.size());
-    for (const DimSpec& d : t.dims) {
-      CompiledDim cd;
-      cd.mode = d.mode;
-      cd.offsets = static_cast<double>(d.offsets);
-      cd.vars.reserve(d.vars.size());
-      for (const std::string& v : d.vars) {
-        auto it = index.find(v);
-        if (it == index.end()) {
-          throw std::out_of_range("AccessTerm::eval: unbound tile " + v);
-        }
-        cd.vars.push_back(it->second);
-      }
-      out.dims.push_back(std::move(cd));
-    }
-    return out;
   };
-  for (const AccessTerm& t : p.sum_terms) {
-    sum_terms.push_back(compile_term(t));
+  for (const auto* terms : {&problem.sum_terms, &problem.single_terms}) {
+    for (const AccessTerm& t : *terms) {
+      for (const DimSpec& d : t.dims) {
+        for (std::size_t v : d.vars) check(v);
+      }
+    }
   }
-  for (const AccessTerm& t : p.single_terms) {
-    single_terms.push_back(compile_term(t));
-  }
-  for (const ObjectiveMonomial& m : p.effective_objective()) {
-    std::vector<std::pair<std::size_t, int>> degs;
-    degs.reserve(m.degrees.size());
-    for (const auto& [v, d] : m.degrees) degs.emplace_back(index.at(v), d);
-    objective.emplace_back(std::move(degs), m.coeff.to_double());
+  for (const ObjectiveMonomial& m : problem.objective) {
+    for (const auto& [v, d] : m.degrees) check(v);
   }
 }
 
-double Evaluator::objective_value(const std::vector<double>& x) const {
+double objective_value(const OptimizationProblem& problem,
+                       const std::vector<double>& x) {
+  if (problem.objective.empty()) {
+    // effective_objective()'s default monomial, not rebuilt per evaluation.
+    double f = 1.0;
+    for (double v : x) f *= v;
+    return f;
+  }
   double f = 0.0;
-  for (const auto& [degs, coeff] : objective) {
-    double term = coeff;
-    for (const auto& [i, d] : degs) term *= std::pow(x[i], d);
+  for (const ObjectiveMonomial& m : problem.objective) {
+    double term = m.coeff.to_double();
+    for (const auto& [i, d] : m.degrees) term *= std::pow(x[i], d);
     f += term;
   }
   return f;
 }
 
-double Evaluator::utilization(const std::vector<double>& x, double X) const {
+double utilization(const OptimizationProblem& problem,
+                   const std::vector<double>& x, double X) {
   double sum = 0.0;
-  for (const CompiledTerm& t : sum_terms) sum += t.eval(x);
+  for (const AccessTerm& t : problem.sum_terms) sum += t.eval(x);
   double u = sum / X;
-  for (const CompiledTerm& t : single_terms) {
+  for (const AccessTerm& t : problem.single_terms) {
     u = std::max(u, t.eval(x) / X);
   }
   return u;
 }
 
-double feasible_scale(const Evaluator& ev, const std::vector<double>& x,
-                      double X) {
+double feasible_scale(const OptimizationProblem& problem,
+                      const std::vector<double>& x, double X) {
   std::vector<double> tiles(x.size());
   auto feasible = [&](double m) {
     for (std::size_t i = 0; i < x.size(); ++i) {
       tiles[i] = clamp_tile(m * x[i]);
     }
-    return ev.utilization(tiles, X) <= 1.0;
+    return utilization(problem, tiles, X) <= 1.0;
   };
   if (!feasible(1e-12)) return 0.0;
   double lo = 1e-12, hi = 1.0;
@@ -112,13 +85,13 @@ double feasible_scale(const Evaluator& ev, const std::vector<double>& x,
   return bisect_last_true(lo, hi, 200, feasible);
 }
 
-double projected_objective(const Evaluator& ev, const std::vector<double>& u,
-                           double X, EvalGuard* guard,
-                           std::vector<double>* tiles_out) {
+double projected_objective(const OptimizationProblem& problem,
+                           const std::vector<double>& u, double X,
+                           EvalGuard* guard, std::vector<double>* tiles_out) {
   if (guard != nullptr) guard->tick();
   std::vector<double> x(u.size());
   for (std::size_t i = 0; i < u.size(); ++i) x[i] = std::exp(u[i]);
-  double m = feasible_scale(ev, x, X);
+  double m = feasible_scale(problem, x, X);
   if (m == 0.0) return -1e300;
   std::vector<double> tiles(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -126,16 +99,16 @@ double projected_objective(const Evaluator& ev, const std::vector<double>& u,
     tiles[i] = xi;
     if (tiles_out) (*tiles_out)[i] = xi;
   }
-  return std::log(ev.objective_value(tiles));
+  return std::log(objective_value(problem, tiles));
 }
 
-std::vector<double> nelder_mead(const Evaluator& ev, double X,
+std::vector<double> nelder_mead(const OptimizationProblem& problem, double X,
                                 std::vector<double> start, int iters,
                                 EvalGuard* guard, bool* converged) {
   const std::size_t n = start.size();
   if (converged != nullptr) *converged = false;
   auto f = [&](const std::vector<double>& u) {
-    return projected_objective(ev, u, X, guard);
+    return projected_objective(problem, u, X, guard);
   };
   std::vector<std::vector<double>> simplex(n + 1, start);
   for (std::size_t i = 0; i < n; ++i) simplex[i + 1][i] += 0.7;
@@ -165,11 +138,11 @@ std::vector<double> nelder_mead(const Evaluator& ev, double X,
       for (std::size_t j = 0; j < n; ++j) centroid[j] += simplex[i][j] / n;
     }
     auto combine = [&](double t) {
-      std::vector<double> p(n);
+      std::vector<double> point(n);
       for (std::size_t j = 0; j < n; ++j) {
-        p[j] = centroid[j] + t * (simplex[n][j] - centroid[j]);
+        point[j] = centroid[j] + t * (simplex[n][j] - centroid[j]);
       }
-      return p;
+      return point;
     };
     std::vector<double> refl = combine(-1.0);
     double fr = f(refl);
@@ -210,8 +183,8 @@ std::vector<double> nelder_mead(const Evaluator& ev, double X,
   return simplex[best];
 }
 
-void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
-                EvalGuard* guard) {
+void kkt_polish(const OptimizationProblem& problem, double X,
+                std::vector<double>* u, EvalGuard* guard) {
   const std::size_t n = u->size();
   auto tiles_of = [&](const std::vector<double>& uu) {
     std::vector<double> tiles(n);
@@ -223,12 +196,12 @@ void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
   auto sum_g = [&](const std::vector<double>& uu) {
     auto tiles = tiles_of(uu);
     double s = 0.0;
-    for (const CompiledTerm& t : ev.sum_terms) s += t.eval(tiles);
+    for (const AccessTerm& t : problem.sum_terms) s += t.eval(tiles);
     return s;
   };
   auto singles_ok = [&](const std::vector<double>& uu) {
     auto tiles = tiles_of(uu);
-    for (const CompiledTerm& t : ev.single_terms) {
+    for (const AccessTerm& t : problem.single_terms) {
       if (t.eval(tiles) > X * (1.0 + 1e-9)) return false;
     }
     return true;
@@ -256,8 +229,8 @@ void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
       up[i] += eps;
       dn[i] -= eps;
       double dg = (sum_g(up) - sum_g(dn)) / (2 * eps);
-      double df = (ev.objective_value(tiles_of(up)) -
-                   ev.objective_value(tiles_of(dn))) /
+      double df = (objective_value(problem, tiles_of(up)) -
+                   objective_value(problem, tiles_of(dn))) /
                   (2 * eps);
       if (dg <= 0 || df <= 0) {
         r[i] = 0;
@@ -284,8 +257,8 @@ void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
     if (!moved) break;
   }
   if (!singles_ok(w)) return;
-  double before = projected_objective(ev, *u, X, guard);
-  double after = projected_objective(ev, w, X, guard);
+  double before = projected_objective(problem, *u, X, guard);
+  double after = projected_objective(problem, w, X, guard);
   if (after >= before - 1e-12) *u = w;
 }
 
@@ -302,36 +275,40 @@ std::vector<std::vector<double>> default_seeds(std::size_t n, double X) {
   return seeds;
 }
 
-SingleStart run_single_start(const Evaluator& ev, double X,
+SingleStart run_single_start(const OptimizationProblem& problem, double X,
                              std::vector<double> seed, int iters,
                              EvalGuard* guard) {
   SingleStart out;
-  out.u = nelder_mead(ev, X, std::move(seed), iters, guard, &out.converged);
-  kkt_polish(ev, X, &out.u, guard);
-  out.objective = projected_objective(ev, out.u, X, guard);
+  out.u =
+      nelder_mead(problem, X, std::move(seed), iters, guard, &out.converged);
+  kkt_polish(problem, X, &out.u, guard);
+  out.objective = projected_objective(problem, out.u, X, guard);
   return out;
 }
 
-SolveResult finish_solve(const Evaluator& ev, const OptimizationProblem& p,
-                         double X, const std::vector<double>& best_u,
-                         bool converged, EvalGuard* guard) {
-  const std::size_t n = p.vars.size();
+SolveResult finish_solve(const OptimizationProblem& problem, double X,
+                         const std::vector<double>& best_u, bool converged,
+                         EvalGuard* guard) {
+  const std::size_t n = problem.vars.size();
   SolveResult out;
   std::vector<double> tiles(n);
-  double logf = projected_objective(ev, best_u, X, guard, &tiles);
+  double logf = projected_objective(problem, best_u, X, guard, &tiles);
   if (logf <= -1e300) {
     // No feasible scaling from this point.  Distinguish a genuinely
     // infeasible problem (even the all-ones tile busts a budget) from a
     // search that wandered into numeric trouble.
     const std::vector<double> floor_tiles(n, 1.0);
-    for (const std::string& v : p.vars) out.optimum.tiles[v] = 1.0;
+    for (const std::string& v : problem.vars) out.optimum.tiles[v] = 1.0;
     out.optimum.chi = 0.0;
-    out.code = ev.utilization(floor_tiles, X) > 1.0 ? ResultCode::kInfeasible
-                                                    : ResultCode::kNoConverge;
+    out.code = utilization(problem, floor_tiles, X) > 1.0
+                   ? ResultCode::kInfeasible
+                   : ResultCode::kNoConverge;
     out.evaluations = guard != nullptr ? guard->ticks : 0;
     return out;
   }
-  for (std::size_t i = 0; i < n; ++i) out.optimum.tiles[p.vars[i]] = tiles[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    out.optimum.tiles[problem.vars[i]] = tiles[i];
+  }
   out.optimum.chi = std::exp(logf);
   const bool finite =
       std::isfinite(out.optimum.chi) && out.optimum.chi > 0.0;

@@ -1,9 +1,13 @@
-// Internal shared numerics of the bounds/opt backends: the index-compiled
-// problem view, the exact feasibility projection, and the local searches
-// (log-space Nelder-Mead, KKT equalization polish) the shipped backends
-// compose.  Everything here lives in one translation layer so the backends
-// cannot drift apart numerically — the projection a backend optimizes over
-// is by construction the projection the differential harness checks.
+// Internal shared numerics of the bounds/opt backends: the problem's
+// objective and constraint utilization at a tile point, the exact
+// feasibility projection, and the local searches (log-space Nelder-Mead,
+// KKT equalization polish) the shipped backends compose.  Everything here
+// evaluates the OptimizationProblem directly: tile variables are already
+// positions in `vars`, so a tile point is a std::vector<double> indexed the
+// same way and the inner loops never touch a string.  Keeping it in one
+// translation layer means the backends cannot drift apart numerically —
+// the projection a backend optimizes over is by construction the
+// projection the differential harness checks.
 //
 // This header is internal to soap::bounds; the public surface is
 // bounds/opt/backend.hpp.
@@ -12,46 +16,25 @@
 #include <cstddef>
 #include <vector>
 
-#include "bounds/access_size.hpp"
 #include "bounds/opt/backend.hpp"
 #include "bounds/optimizer.hpp"
 
 namespace soap::bounds::opt {
 
-// Compiled (dense-index) view of the problem for the numeric inner loops:
-// tile variables become vector indices and access terms precompile their
-// per-dimension variable lists, so Nelder-Mead / compass iterations never
-// touch a string-keyed map.  Evaluates through the same AccessSizeFold as
-// AccessTerm::eval.
-struct CompiledDim {
-  DimSpec::Mode mode = DimSpec::Mode::kProduct;
-  std::vector<std::size_t> vars;
-  double offsets = 0.0;
-};
+// Throws std::out_of_range when a term dimension or an objective monomial
+// names a tile variable at or past problem.vars.size().  Every backend's
+// solve() and derive_chi check once on entry; the helpers below then index
+// freely.
+void check_tile_indices(const OptimizationProblem& problem);
 
-struct CompiledTerm {
-  TermKind kind = TermKind::kPlain;
-  std::vector<CompiledDim> dims;
+// The objective chi at tile point x (the default prod of all tiles when
+// problem.objective is empty).
+double objective_value(const OptimizationProblem& problem,
+                       const std::vector<double>& x);
 
-  [[nodiscard]] double eval(const std::vector<double>& x) const;
-};
-
-struct Evaluator {
-  const OptimizationProblem& problem;
-  std::vector<CompiledTerm> sum_terms;
-  std::vector<CompiledTerm> single_terms;
-  // Objective monomials as ((var index, degree)..., coeff) pairs.
-  std::vector<std::pair<std::vector<std::pair<std::size_t, int>>, double>>
-      objective;
-
-  explicit Evaluator(const OptimizationProblem& p);
-
-  [[nodiscard]] double objective_value(const std::vector<double>& x) const;
-
-  // Worst constraint utilization g_k(x)/X (>1 means infeasible).
-  [[nodiscard]] double utilization(const std::vector<double>& x,
-                                   double X) const;
-};
+// Worst constraint utilization g_k(x)/X (>1 means infeasible).
+double utilization(const OptimizationProblem& problem,
+                   const std::vector<double>& x, double X);
 
 // The paper's |D_t| >= 1: the only bound a tile variable carries.  Written
 // as a comparison, not std::max, so a NaN tile passes through unchanged.
@@ -78,21 +61,22 @@ double bisect_last_true(double lo, double hi, int max_iters, Pred&& pred) {
 // Largest uniform multiplicative scale m such that scaling every tile by m
 // (clamped at 1) stays feasible; constraint terms are monotone
 // non-decreasing in every tile so feasibility is monotone in m.
-double feasible_scale(const Evaluator& ev, const std::vector<double>& x,
-                      double X);
+double feasible_scale(const OptimizationProblem& problem,
+                      const std::vector<double>& x, double X);
 
 // Projected objective: log chi after scaling onto the feasible boundary.
 // Returns -1e300 when no feasible scaling exists.  Ticks `guard` once per
 // call (the unit StopCriteria's solver-eval budget counts).
-double projected_objective(const Evaluator& ev, const std::vector<double>& u,
-                           double X, EvalGuard* guard = nullptr,
+double projected_objective(const OptimizationProblem& problem,
+                           const std::vector<double>& u, double X,
+                           EvalGuard* guard = nullptr,
                            std::vector<double>* tiles_out = nullptr);
 
 // Nelder-Mead in log-space (maximization); dimensions are tiny (<= ~10).
 // Sets *converged (when non-null) to whether the simplex met the spread
 // tolerance within `iters` — the signal the default backend surfaces as
 // kSuccess vs kNoConverge.
-std::vector<double> nelder_mead(const Evaluator& ev, double X,
+std::vector<double> nelder_mead(const OptimizationProblem& problem, double X,
                                 std::vector<double> start, int iters,
                                 EvalGuard* guard, bool* converged = nullptr);
 
@@ -100,8 +84,8 @@ std::vector<double> nelder_mead(const Evaluator& ev, double X,
 // r_v = (dF/du_v)/F / (dg/du_v) is equal across variables; iterate
 // multiplicative equalization with projection back onto g = X.  Variables
 // clamped at x >= 1 stay clamped.
-void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
-                EvalGuard* guard);
+void kkt_polish(const OptimizationProblem& problem, double X,
+                std::vector<double>* u, EvalGuard* guard);
 
 // The two historical default seeds every backend appends after the
 // request's seeds: the uniform log(X)/(2n) point and a staggered ramp.
@@ -115,7 +99,7 @@ struct SingleStart {
   double objective = -1e300;
   bool converged = false;
 };
-SingleStart run_single_start(const Evaluator& ev, double X,
+SingleStart run_single_start(const OptimizationProblem& problem, double X,
                              std::vector<double> seed, int iters,
                              EvalGuard* guard);
 
@@ -123,8 +107,8 @@ SingleStart run_single_start(const Evaluator& ev, double X,
 // final projected evaluation, probes feasibility of the all-ones point for
 // the kInfeasible classification, and applies the
 // kSuccess/kNoConverge rule (finite positive chi + converged search).
-SolveResult finish_solve(const Evaluator& ev, const OptimizationProblem& p,
-                         double X, const std::vector<double>& best_u,
-                         bool converged, EvalGuard* guard);
+SolveResult finish_solve(const OptimizationProblem& problem, double X,
+                         const std::vector<double>& best_u, bool converged,
+                         EvalGuard* guard);
 
 }  // namespace soap::bounds::opt

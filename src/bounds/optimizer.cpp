@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -39,9 +38,9 @@ opt::SolveResult solve_through(const opt::OptimizerBackend& be,
 // Exponent LP
 // ---------------------------------------------------------------------------
 
-std::vector<std::vector<std::string>> all_monomials(
+std::vector<std::vector<std::size_t>> all_monomials(
     const OptimizationProblem& p) {
-  std::vector<std::vector<std::string>> out;
+  std::vector<std::vector<std::size_t>> out;
   for (const AccessTerm& t : p.sum_terms) {
     auto ms = t.lp_monomials();
     out.insert(out.end(), ms.begin(), ms.end());
@@ -66,38 +65,34 @@ std::vector<std::vector<std::string>> all_monomials(
 // caller then keeps the generic numeric fit.  Backend-independent: whichever
 // backend fit the constant, the GP refinement (and hence the snapped exact
 // value) is the same — the differential harness leans on this.
-std::optional<double> asymptotic_constant(
-    const OptimizationProblem& problem,
-    const std::map<std::string, Rational>& a, const Rational& alpha,
-    std::map<std::string, double>* kappa_out,
-    opt::EvalGuard* guard = nullptr) {
+std::optional<double> asymptotic_constant(const OptimizationProblem& problem,
+                                          const std::vector<Rational>& a,
+                                          const Rational& alpha,
+                                          std::vector<double>* kappa_out,
+                                          opt::EvalGuard* guard = nullptr) {
   const std::size_t n = problem.vars.size();
-  std::map<std::string, std::size_t> index;
-  for (std::size_t i = 0; i < n; ++i) index[problem.vars[i]] = i;
 
   struct Mono {
     std::vector<std::pair<std::size_t, int>> degs;
     double coeff;
   };
+  auto lp_degree = [&a](const MonomialDegrees& degrees) {
+    Rational deg = 0;
+    for (const auto& [i, d] : degrees) deg += a[i] * Rational(d);
+    return deg;
+  };
   std::vector<Mono> constraint_monos;
   for (const AccessTerm& t : problem.sum_terms) {
     if (t.has_max_dims()) return std::nullopt;
     for (const auto& sm : t.signed_monomials()) {
-      Rational lp_degree = 0;
-      for (const auto& [v, d] : sm.degrees) {
-        auto it = a.find(v);
-        if (it == a.end()) return std::nullopt;
-        lp_degree += it->second * Rational(d);
-      }
-      if (lp_degree != Rational(1)) {
-        if (lp_degree > Rational(1)) return std::nullopt;
+      const Rational deg = lp_degree(sm.degrees);
+      if (deg != Rational(1)) {
+        if (deg > Rational(1)) return std::nullopt;
         continue;
       }
       if (!sm.coeff.is_positive()) return std::nullopt;
-      Mono m;
-      m.coeff = sm.coeff.to_double();
-      for (const auto& [v, d] : sm.degrees) m.degs.emplace_back(index[v], d);
-      constraint_monos.push_back(std::move(m));
+      constraint_monos.push_back(
+          {{sm.degrees.begin(), sm.degrees.end()}, sm.coeff.to_double()});
     }
   }
   if (constraint_monos.empty()) return std::nullopt;
@@ -105,21 +100,18 @@ std::optional<double> asymptotic_constant(
     if (t.has_max_dims()) return std::nullopt;
     for (const auto& m : t.lp_monomials()) {
       Rational deg = 0;
-      for (const std::string& v : m) deg += a.at(v);
+      for (std::size_t i : m) deg += a[i];
       if (deg == Rational(1)) return std::nullopt;  // potentially active
     }
   }
   std::vector<Mono> objective_monos;
   for (const ObjectiveMonomial& om : problem.effective_objective()) {
-    Rational deg = 0;
-    for (const auto& [v, d] : om.degrees) deg += a.at(v) * Rational(d);
+    const Rational deg = lp_degree(om.degrees);
     if (deg > alpha) return std::nullopt;
     if (deg != alpha) continue;
     if (!om.coeff.is_positive()) return std::nullopt;
-    Mono m;
-    m.coeff = om.coeff.to_double();
-    for (const auto& [v, d] : om.degrees) m.degs.emplace_back(index[v], d);
-    objective_monos.push_back(std::move(m));
+    objective_monos.push_back(
+        {{om.degrees.begin(), om.degrees.end()}, om.coeff.to_double()});
   }
   if (objective_monos.empty()) return std::nullopt;
 
@@ -130,13 +122,13 @@ std::optional<double> asymptotic_constant(
     for (const auto& [i, _] : m.degs) relevant[i] = true;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (!relevant[i] && !a.at(problem.vars[i]).is_zero()) return std::nullopt;
+    if (!relevant[i] && !a[i].is_zero()) return std::nullopt;
   }
 
   std::vector<double> u(n, 0.0);
   std::vector<bool> clamped(n);
   for (std::size_t i = 0; i < n; ++i) {
-    clamped[i] = a.at(problem.vars[i]).is_zero();
+    clamped[i] = a[i].is_zero();
   }
   auto eval_monos = [&](const std::vector<Mono>& monos,
                         const std::vector<double>& uu,
@@ -203,9 +195,8 @@ std::optional<double> asymptotic_constant(
   }
   double c = eval_monos(objective_monos, u, nullptr);
   if (kappa_out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      (*kappa_out)[problem.vars[i]] = std::exp(u[i]);
-    }
+    kappa_out->resize(n);
+    for (std::size_t i = 0; i < n; ++i) (*kappa_out)[i] = std::exp(u[i]);
   }
   return c;
 }
@@ -220,25 +211,24 @@ std::optional<ChiForm> derive_chi(const OptimizationProblem& problem,
   if (guard.stop != nullptr) stop.enforce("chi derivation");
   const std::size_t n = problem.vars.size();
   if (n == 0) return std::nullopt;
+  opt::check_tile_indices(problem);
   const opt::OptimizerBackend& be = opt::backend(backend);
 
   // --- exact exponent LP ---
   auto monomials = all_monomials(problem);
   {
-    std::set<std::string> covered;
-    for (const auto& m : monomials) covered.insert(m.begin(), m.end());
-    for (const std::string& v : problem.vars) {
-      if (!covered.count(v)) return std::nullopt;  // unbounded reuse
+    std::vector<bool> covered(n, false);
+    for (const auto& m : monomials) {
+      for (std::size_t i : m) covered[i] = true;
+    }
+    for (bool c : covered) {
+      if (!c) return std::nullopt;  // unbounded reuse
     }
   }
   std::vector<std::vector<Rational>> constraint_rows;
   for (const auto& m : monomials) {
     std::vector<Rational> row(n, Rational(0));
-    for (const std::string& v : m) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (problem.vars[i] == v) row[i] = Rational(1);
-      }
-    }
+    for (std::size_t i : m) row[i] = Rational(1);
     constraint_rows.push_back(std::move(row));
   }
   // alpha = max over objective monomials of the LP value with that monomial
@@ -251,16 +241,13 @@ std::optional<ChiForm> derive_chi(const OptimizationProblem& problem,
   // contaminates the exponent.
   ChiForm form;
   form.alpha = Rational(-1);
+  std::vector<Rational> exponents;  // a_v by tile-variable position
   const Rational eps(1, 4096);
   for (const ObjectiveMonomial& om : problem.effective_objective()) {
     LinearProgram lp;
     // Variables: a_0..a_{n-1}, m (the max-exponent bound).
     lp.objective.assign(n + 1, Rational(0));
-    for (const auto& [v, d] : om.degrees) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (problem.vars[i] == v) lp.objective[i] = Rational(d);
-      }
-    }
+    for (const auto& [i, d] : om.degrees) lp.objective[i] = Rational(d);
     lp.objective[n] = -eps;
     for (const auto& row : constraint_rows) {
       std::vector<Rational> r = row;
@@ -278,21 +265,15 @@ std::optional<ChiForm> derive_chi(const OptimizationProblem& problem,
     auto sol = solve_lp(lp);
     if (!sol) return std::nullopt;
     Rational alpha_exact = 0;
-    for (const auto& [v, d] : om.degrees) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (problem.vars[i] == v) alpha_exact += Rational(d) * sol->x[i];
-      }
+    for (const auto& [i, d] : om.degrees) {
+      alpha_exact += Rational(d) * sol->x[i];
     }
     // Guard against the epsilon perturbation trading real objective for
     // balance: re-solve without it and keep whichever attains more.
     {
       LinearProgram pure;
       pure.objective.assign(n, Rational(0));
-      for (const auto& [v, d] : om.degrees) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (problem.vars[i] == v) pure.objective[i] = Rational(d);
-        }
-      }
+      for (const auto& [i, d] : om.degrees) pure.objective[i] = Rational(d);
       pure.constraints = constraint_rows;
       pure.rhs.assign(constraint_rows.size(), Rational(1));
       auto pure_sol = solve_lp(pure);
@@ -305,20 +286,20 @@ std::optional<ChiForm> derive_chi(const OptimizationProblem& problem,
     }
     if (alpha_exact > form.alpha) {
       form.alpha = alpha_exact;
-      form.exponents.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        form.exponents[problem.vars[i]] = sol->x[i];
-      }
+      exponents.assign(sol->x.begin(), sol->x.begin() + n);
     }
   }
   if (form.alpha < Rational(0)) return std::nullopt;
+  for (std::size_t i = 0; i < n; ++i) {
+    form.exponents[problem.vars[i]] = exponents[i];
+  }
 
   // --- numeric constant fit (seeded at the LP exponents) ---
   const double x_lo = 1e9, x_hi = 1e12;
   auto lp_seed = [&](double X) {
     std::vector<double> seed(n);
     for (std::size_t i = 0; i < n; ++i) {
-      seed[i] = form.exponents.at(problem.vars[i]).to_double() * std::log(X);
+      seed[i] = exponents[i].to_double() * std::log(X);
     }
     return seed;
   };
@@ -346,23 +327,25 @@ std::optional<ChiForm> derive_chi(const OptimizationProblem& problem,
   form.fit_residual = std::fabs(alpha_fit - alpha_lp);
   double c_num = hi.chi / std::pow(x_hi, alpha_lp);
   form.coefficient_num = c_num;
-  for (const auto& [v, xv] : hi.tiles) {
-    double av = form.exponents.at(v).to_double();
-    form.tile_coeffs[v] = xv / std::pow(x_hi, av);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string& v = problem.vars[i];
+    form.tile_coeffs[v] =
+        hi.tiles.at(v) / std::pow(x_hi, exponents[i].to_double());
   }
 
   // --- asymptotic GP refinement: machine-precision constant when the
   // problem has the pure-monomial structure ---
   double c_best = c_num;
   double snap_tol = 1e-4;
-  std::map<std::string, double> kappa;
+  std::vector<double> kappa;
   std::optional<double> c_gp =
-      asymptotic_constant(problem, form.exponents, form.alpha, &kappa,
-                          &guard);
+      asymptotic_constant(problem, exponents, form.alpha, &kappa, &guard);
   if (c_gp && std::fabs(*c_gp - c_num) <= 1e-2 * std::max(*c_gp, c_num)) {
     c_best = *c_gp;
     snap_tol = 1e-8;
-    for (const auto& [v, kv] : kappa) form.tile_coeffs[v] = kv;
+    for (std::size_t i = 0; i < n; ++i) {
+      form.tile_coeffs[problem.vars[i]] = kappa[i];
+    }
   } else if (c_gp) {
     // Disagreement: keep the larger (a larger chi only loosens the bound,
     // staying sound) and leave the constant numeric.

@@ -38,10 +38,13 @@ namespace soap::bounds {
 
 /// One monomial of the objective: coeff * prod_v x_v^deg.
 struct ObjectiveMonomial {
-  std::map<std::string, int> degrees;
+  MonomialDegrees degrees;
   Rational coeff = 1;
 };
 
+/// Every tile variable in the terms and the objective is a position in
+/// `vars`; the numeric layer rejects a position past its end
+/// (std::out_of_range) when the problem enters it.
 struct OptimizationProblem {
   std::vector<std::string> vars;         ///< tile-size variables |D_t|
   std::vector<AccessTerm> sum_terms;     ///< sum over these <= X
@@ -55,7 +58,7 @@ struct OptimizationProblem {
   [[nodiscard]] std::vector<ObjectiveMonomial> effective_objective() const {
     if (!objective.empty()) return objective;
     ObjectiveMonomial all;
-    for (const std::string& v : vars) all.degrees[v] = 1;
+    for (std::size_t v = 0; v < vars.size(); ++v) all.degrees[v] = 1;
     return {all};
   }
 };

@@ -1,5 +1,7 @@
 #include "bounds/single_statement.hpp"
 
+#include <utility>
+
 #include "bounds/intensity.hpp"
 #include "soap/projection.hpp"
 
@@ -9,22 +11,17 @@ OptimizationProblem statement_problem(const Statement& st) {
   Statement split = split_disjoint_accesses(st);
   StatementAnalysis analysis = analyze_statement(split);
   OptimizationProblem problem;
-  problem.vars = analysis.tile_vars;
-  problem.sum_terms = analysis.input_terms;
-  problem.single_terms = analysis.output_terms;
+  problem.vars = std::move(analysis.tile_vars);
+  problem.sum_terms = std::move(analysis.input_terms);
+  problem.single_terms = std::move(analysis.output_terms);
   return problem;
 }
 
 std::optional<IoLowerBound> single_statement_bound(const Statement& st) {
-  Statement split = split_disjoint_accesses(st);
-  StatementAnalysis analysis = analyze_statement(split);
-  OptimizationProblem problem;
-  problem.vars = analysis.tile_vars;
-  problem.sum_terms = analysis.input_terms;
-  problem.single_terms = analysis.output_terms;
-  std::optional<ChiForm> chi = derive_chi(problem);
+  std::optional<ChiForm> chi = derive_chi(statement_problem(st));
   if (!chi) return std::nullopt;
-  return assemble_bound(analysis.domain_size_leading, *chi);
+  return assemble_bound(st.domain.cardinality().leading_terms().to_expr(),
+                        *chi);
 }
 
 }  // namespace soap::bounds

@@ -3,43 +3,29 @@
 #include <exception>
 #include <utility>
 
-#include "support/parallel.hpp"
-
 namespace soap::pebbles {
-
-namespace {
-
-support::ParallelOptions to_parallel(const ShardOptions& shard) {
-  support::ParallelOptions par;
-  par.threads = shard.threads;
-  par.executor = shard.executor;
-  return par;
-}
-
-}  // namespace
 
 std::vector<Cdag> instantiate_batch(const std::vector<InstantiationJob>& jobs,
                                     const InstantiateOptions& options,
-                                    const ShardOptions& shard) {
-  return support::parallel_map<Cdag>(
-      jobs.size(), to_parallel(shard), [&](std::size_t i) {
-        return instantiate(*jobs[i].program, jobs[i].params, options);
-      });
+                                    const support::ParallelOptions& shard) {
+  return support::parallel_map<Cdag>(jobs.size(), shard, [&](std::size_t i) {
+    return instantiate(*jobs[i].program, jobs[i].params, options);
+  });
 }
 
 std::vector<GameResult> run_pebblings(const std::vector<ReplayJob>& jobs,
-                                      const ShardOptions& shard) {
+                                      const support::ParallelOptions& shard) {
   return support::parallel_map<GameResult>(
-      jobs.size(), to_parallel(shard), [&](std::size_t i) {
+      jobs.size(), shard, [&](std::size_t i) {
         return run_pebbling(*jobs[i].cdag, jobs[i].S, *jobs[i].moves);
       });
 }
 
 std::vector<ScheduleValidation> validate_schedules(
     const std::vector<PebbleCase>& cases, Replacement policy,
-    const ShardOptions& shard) {
+    const support::ParallelOptions& shard) {
   return support::parallel_map<ScheduleValidation>(
-      cases.size(), to_parallel(shard), [&](std::size_t i) {
+      cases.size(), shard, [&](std::size_t i) {
         ScheduleValidation v;
         try {
           v.schedule = natural_order_pebbling(*cases[i].cdag, cases[i].S,
@@ -56,9 +42,9 @@ std::vector<ScheduleValidation> validate_schedules(
 
 std::vector<std::optional<OptimalResult>> optimal_pebblings(
     const std::vector<PebbleCase>& cases, const OptimalOptions& options,
-    const ShardOptions& shard) {
+    const support::ParallelOptions& shard) {
   return support::parallel_map<std::optional<OptimalResult>>(
-      cases.size(), to_parallel(shard), [&](std::size_t i) {
+      cases.size(), shard, [&](std::size_t i) {
         return optimal_pebbling(*cases[i].cdag, cases[i].S, options);
       });
 }

@@ -2,9 +2,11 @@
 // machine-checking path of Section 2 — CDAG instantiation, scheduled-pebbling
 // generation, move-sequence replay (game.cpp), and the exhaustive optimal
 // oracle — across an injectable executor with deterministic, slot-per-job
-// merging.  Every function here is a pure per-job map: sharding decides only
-// who runs a job, never what it computes or which slot the result lands in,
-// so the output vector is bit-identical for every thread count and executor.
+// merging.  `shard` is the support::parallel_map budget (threads, executor,
+// grain, cancellation) a batch runs under.  Every function here is a pure
+// per-job map: sharding decides only who runs a job, never what it computes
+// or which slot the result lands in, so the output vector is bit-identical
+// for every thread count and executor.
 #pragma once
 
 #include <cstddef>
@@ -17,18 +19,9 @@
 #include "pebbles/heuristic.hpp"
 #include "pebbles/instantiate.hpp"
 #include "pebbles/optimal.hpp"
-#include "support/executor.hpp"
+#include "support/parallel.hpp"
 
 namespace soap::pebbles {
-
-/// Worker budget + executor for the sharded validation entry points.
-struct ShardOptions {
-  /// Counting the calling thread: 1 = serial (default), 0 = hardware, N =
-  /// up to N.
-  std::size_t threads = 1;
-  /// Where helper workers run; default = the process-global pool.
-  support::ExecutorRef executor;
-};
 
 /// One CDAG instantiation job: a program at concrete parameter values.
 struct InstantiationJob {
@@ -37,9 +30,10 @@ struct InstantiationJob {
 };
 
 /// instantiate(jobs[i]) for every i, sharded; slot i holds job i's CDAG.
-std::vector<Cdag> instantiate_batch(const std::vector<InstantiationJob>& jobs,
-                                    const InstantiateOptions& options = {},
-                                    const ShardOptions& shard = {});
+std::vector<Cdag> instantiate_batch(
+    const std::vector<InstantiationJob>& jobs,
+    const InstantiateOptions& options = {},
+    const support::ParallelOptions& shard = {});
 
 /// One schedule-replay job: validate `moves` on `cdag` under red budget S.
 struct ReplayJob {
@@ -49,8 +43,9 @@ struct ReplayJob {
 };
 
 /// run_pebbling(jobs[i]) for every i, sharded; slot i holds job i's result.
-std::vector<GameResult> run_pebblings(const std::vector<ReplayJob>& jobs,
-                                      const ShardOptions& shard = {});
+std::vector<GameResult> run_pebblings(
+    const std::vector<ReplayJob>& jobs,
+    const support::ParallelOptions& shard = {});
 
 /// A (CDAG, S) validation case for the end-to-end entry points below.
 struct PebbleCase {
@@ -78,12 +73,12 @@ struct ScheduleValidation {
 /// failing the batch.
 std::vector<ScheduleValidation> validate_schedules(
     const std::vector<PebbleCase>& cases, Replacement policy,
-    const ShardOptions& shard = {});
+    const support::ParallelOptions& shard = {});
 
 /// optimal_pebbling for every case, sharded; slot i (nullopt = search
 /// capped, exactly as the serial oracle reports it).
 std::vector<std::optional<OptimalResult>> optimal_pebblings(
     const std::vector<PebbleCase>& cases, const OptimalOptions& options = {},
-    const ShardOptions& shard = {});
+    const support::ParallelOptions& shard = {});
 
 }  // namespace soap::pebbles

@@ -288,6 +288,7 @@ MergedSubgraph merge_subgraph(const Sdg& sdg,
   }
 
   // --- objective: one tile-volume monomial per member statement ---------------
+  const std::vector<std::string>& tile_vars = out.problem.vars;
   for (int s : out.members) {
     const Statement& st = program.statements[static_cast<std::size_t>(s)];
     const auto& rename = stmt_rename[s];
@@ -297,7 +298,11 @@ MergedSubgraph merge_subgraph(const Sdg& sdg,
       if (unified == nullptr) {
         throw std::logic_error("merge_subgraph: unregistered variable " + v);
       }
-      mono.degrees[symbol_name(*unified)] += 1;
+      const auto pos = static_cast<std::size_t>(
+          std::find(tile_vars.begin(), tile_vars.end(),
+                    symbol_name(*unified)) -
+          tile_vars.begin());
+      mono.degrees[pos] += 1;
     }
     bool merged = false;
     for (auto& existing : out.problem.objective) {

@@ -69,10 +69,10 @@ struct Evaluated {
   double rho_value = 0.0;
 };
 
-// Enumeration-side stop polling.  The subgraph budget is an exact count
-// check; cancellation/deadline are checked every emit (cheap: a pointer
-// test and, when a deadline is armed, a clock read); the node-budget gauge
-// sweep piggybacks on every 16th emit.
+// Enumeration-side stop polling.  Cancellation/deadline are checked every
+// emit (cheap: a pointer test and, when a deadline is armed, a clock read);
+// the node-budget gauge sweep piggybacks on every 16th emit.  The number of
+// subgraphs is capped by SdgOptions::max_subgraphs, not here.
 class EnumerationGuard {
  public:
   explicit EnumerationGuard(const support::StopCriteria& stop)
@@ -81,13 +81,6 @@ class EnumerationGuard {
   void poll() {
     if (!limited_) return;
     ++emitted_;
-    if (stop_.budget.max_subgraphs != 0 &&
-        emitted_ > stop_.budget.max_subgraphs) {
-      throw support::AnalysisError(
-          support::StatusCode::kBudgetExceeded,
-          "subgraph budget exceeded (max=" +
-              std::to_string(stop_.budget.max_subgraphs) + ")");
-    }
     if ((emitted_ & 15u) == 0 || stop_.cancel.cancelled() ||
         stop_.deadline.expired()) {
       stop_.enforce("subgraph enumeration");

@@ -9,8 +9,9 @@
 //     frontend dropping a request, a test tearing a parallel loop down).
 //   * Deadline — a wall-clock budget on the whole derivation.
 //   * ResourceBudget — caps on interned symbolic nodes (polled against the
-//     sharded table's live count via a registered gauge), enumerated
-//     subgraphs, and numeric-solver objective evaluations.
+//     sharded table's live count via a registered gauge) and numeric-solver
+//     objective evaluations.  The enumeration cap is sdg::SdgOptions::
+//     max_subgraphs, which bounds the work rather than failing it.
 //
 // A tripped criterion surfaces as a structured `AnalysisError` carrying a
 // machine-readable `StatusCode`; each code maps to a distinct process exit
@@ -40,7 +41,7 @@ enum class StatusCode {
   kInvalidInput = 2,        ///< malformed DSL/flags (matches usage exit 2)
   kOptimizerNoConverge = 3, ///< numeric solve produced no finite intensity
   kDeadlineExceeded = 4,    ///< wall-clock deadline tripped
-  kBudgetExceeded = 5,      ///< node/subgraph/eval budget tripped
+  kBudgetExceeded = 5,      ///< node/eval budget tripped
   kCancelled = 6,           ///< external cancellation requested
 };
 
@@ -134,16 +135,15 @@ class Deadline {
 
 /// Resource caps; 0 = unlimited.  max_live_nodes is polled against the
 /// registered live-node gauge (the sharded intern table's live count);
-/// max_subgraphs / max_solver_evals are enforced by the layers that own the
-/// counters (SDG enumeration, the numeric optimizer) and are deliberately
-/// per-run / per-solve so that which chunk trips is deterministic.
+/// max_solver_evals is enforced by the numeric optimizer, which owns the
+/// counter, and is deliberately per-derivation so that which evaluation
+/// trips is deterministic.
 struct ResourceBudget {
   std::size_t max_live_nodes = 0;
-  std::size_t max_subgraphs = 0;
   std::size_t max_solver_evals = 0;
 
   [[nodiscard]] bool unlimited() const noexcept {
-    return max_live_nodes == 0 && max_subgraphs == 0 && max_solver_evals == 0;
+    return max_live_nodes == 0 && max_solver_evals == 0;
   }
 };
 
@@ -156,7 +156,7 @@ void register_live_node_gauge(LiveNodeGauge gauge) noexcept;
 
 /// Aggregate stop signals, passed by value through the analysis layers.
 /// check()/enforce() poll in severity order cancel > deadline > node
-/// budget; subgraph/eval budgets live in their owning layers' counters.
+/// budget; the eval budget lives in the numeric optimizer's counter.
 struct StopCriteria {
   CancellationToken cancel;
   Deadline deadline;

@@ -32,14 +32,13 @@ std::vector<int> random_subset(FuzzRng& rng, int n) {
 /// restart backends escape — a real property of local search, not a
 /// backend-agreement question.  The corpus sweep covers kMax agreement on
 /// the kernels that actually use it (lulesh, stencils, convolutions).
-AccessTerm random_term(FuzzRng& rng, const std::vector<std::string>& vars,
-                       const std::vector<int>& subset, TermKind kind,
-                       int max_offset, int index) {
+AccessTerm random_term(FuzzRng& rng, const std::vector<int>& subset,
+                       TermKind kind, int max_offset, int index) {
   AccessTerm t;
   t.array = "A" + std::to_string(index);
   t.kind = kind;
   for (std::size_t s = 0; s < subset.size(); ++s) {
-    const std::string& v = vars[static_cast<std::size_t>(subset[s])];
+    const auto v = static_cast<std::size_t>(subset[s]);
     const bool join = !t.dims.empty() && rng.range(0, 3) == 0;
     if (join) {
       t.dims.back().vars.push_back(v);
@@ -68,16 +67,16 @@ OptimizationProblem random_problem(FuzzRng& rng) {
   // Term 0 is dense over every variable: coverage by construction, so the
   // exponent LP always has a bounded optimum.
   p.sum_terms.push_back(
-      random_term(rng, p.vars, all, TermKind::kPlain, /*max_offset=*/2, 0));
+      random_term(rng, all, TermKind::kPlain, /*max_offset=*/2, 0));
   const int extra = rng.range(0, 2);
   for (int i = 0; i < extra; ++i) {
     const TermKind kind =
         rng.range(0, 1) == 0 ? TermKind::kPlain : TermKind::kVersioned;
-    p.sum_terms.push_back(random_term(rng, p.vars, random_subset(rng, n),
-                                      kind, /*max_offset=*/2, i + 1));
+    p.sum_terms.push_back(random_term(rng, random_subset(rng, n), kind,
+                                      /*max_offset=*/2, i + 1));
   }
   if (rng.range(0, 2) == 0) {
-    p.single_terms.push_back(random_term(rng, p.vars, random_subset(rng, n),
+    p.single_terms.push_back(random_term(rng, random_subset(rng, n),
                                          TermKind::kOutput, /*max_offset=*/0,
                                          extra + 1));
   }
@@ -91,7 +90,7 @@ OptimizationProblem random_problem(FuzzRng& rng) {
   if (rng.range(0, 2) == 0) {
     ObjectiveMonomial om;
     for (int v : random_subset(rng, n)) {
-      om.degrees[p.vars[static_cast<std::size_t>(v)]] = rng.range(1, 2);
+      om.degrees[static_cast<std::size_t>(v)] = rng.range(1, 2);
     }
     om.coeff = Rational(rng.range(1, 3));
     p.objective.push_back(std::move(om));

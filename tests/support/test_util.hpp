@@ -1,7 +1,10 @@
 // Small shared test utilities.
 #pragma once
 
+#include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace soap::testing {
 
@@ -11,6 +14,18 @@ namespace soap::testing {
 template <typename T>
 void sink(T&& value) {
   [[maybe_unused]] auto discarded = std::forward<T>(value);
+}
+
+/// The tile point x with x[i] = tiles.at(vars[i]): lets a test name tile
+/// sizes by variable while the bounds layer indexes them by position in
+/// `vars` (OptimizationProblem::vars, StatementAnalysis::tile_vars).
+inline std::vector<double> tile_point(
+    const std::vector<std::string>& vars,
+    const std::map<std::string, double>& tiles) {
+  std::vector<double> x;
+  x.reserve(vars.size());
+  for (const std::string& v : vars) x.push_back(tiles.at(v));
+  return x;
 }
 
 }  // namespace soap::testing

@@ -12,17 +12,18 @@
 #include <vector>
 
 #include "bounds/access_size.hpp"
-#include "bounds/opt/evaluator.hpp"
 #include "frontend/lower.hpp"
 #include "pebbles/dominator.hpp"
 #include "pebbles/instantiate.hpp"
 #include "soap/projection.hpp"
+#include "test_util.hpp"
 
 namespace soap {
 namespace {
 
 using bounds::AccessTerm;
 using bounds::analyze_statement;
+using testing::tile_point;
 
 // Distinct elements of `array` touched when executing `st` over the
 // rectangular tile given by [0, tile[var]) per variable.
@@ -83,9 +84,9 @@ TEST_P(Lemma3LowerBound, FormulaNeverExceedsTrueAccessCount) {
   ASSERT_EQ(analysis.input_terms.size(), 1u);
   const AccessTerm& term = analysis.input_terms[0];
   std::map<std::string, long long> tile = {{"i", ti}, {"t", tt}};
-  std::map<std::string, double> tile_d = {{"i", static_cast<double>(ti)},
-                                          {"t", static_cast<double>(tt)}};
-  double formula = term.eval(tile_d);
+  double formula = term.eval(tile_point(
+      analysis.tile_vars,
+      {{"i", static_cast<double>(ti)}, {"t", static_cast<double>(tt)}}));
   long long actual = brute_force_access_count(st, "A", tile);
   EXPECT_LE(formula, static_cast<double>(actual) + 1e-9)
       << "offsets [-" << left << "," << right << "] tile " << ti << "x" << tt;
@@ -104,7 +105,8 @@ TEST(Lemma3, ExactForContiguousStencil) {
   Statement st = stencil_statement(1, 1);
   auto analysis = analyze_statement(st);
   const AccessTerm& term = analysis.input_terms[0];
-  double formula = term.eval({{"i", 4.0}, {"t", 3.0}});
+  double formula =
+      term.eval(tile_point(analysis.tile_vars, {{"i", 4.0}, {"t", 3.0}}));
   // 2*4*3 - (4-2)*(3-1) = 24 - 4 = 20.
   EXPECT_DOUBLE_EQ(formula, 20.0);
 }
@@ -125,7 +127,10 @@ for i in range(N):
   }
   ASSERT_NE(c_term, nullptr);
   EXPECT_EQ(c_term->kind, bounds::TermKind::kInputOutput);
-  EXPECT_DOUBLE_EQ(c_term->eval({{"i", 5.0}, {"j", 7.0}, {"k", 3.0}}), 35.0);
+  EXPECT_DOUBLE_EQ(
+      c_term->eval(tile_point(analysis.tile_vars,
+                              {{"i", 5.0}, {"j", 7.0}, {"k", 3.0}})),
+      35.0);
 }
 
 TEST(DominatorBound, AccessSetsFormADominator) {
@@ -152,7 +157,8 @@ for i in range(N):
     std::map<std::string, double> tile = {{"i", double(n)},
                                           {"j", double(n)},
                                           {"k", double(kmax)}};
-    for (const auto& t : analysis.input_terms) analytic += t.eval(tile);
+    const std::vector<double> x = tile_point(analysis.tile_vars, tile);
+    for (const auto& t : analysis.input_terms) analytic += t.eval(x);
     long long dom = pebbles::min_dominator_size(detail.cdag, H);
     EXPECT_LE(static_cast<double>(dom), analytic + 1e-9) << "kmax=" << kmax;
     EXPECT_GE(dom, static_cast<long long>(
@@ -178,7 +184,8 @@ for i in range(N):
   EXPECT_EQ(min_set.size(), 16u);
   auto analysis = analyze_statement(p.statements[0]);
   ASSERT_EQ(analysis.output_terms.size(), 1u);
-  EXPECT_DOUBLE_EQ(analysis.output_terms[0].eval({{"i", 4.0}, {"j", 4.0}}),
+  EXPECT_DOUBLE_EQ(analysis.output_terms[0].eval(tile_point(
+                       analysis.tile_vars, {{"i", 4.0}, {"j", 4.0}})),
                    16.0);
 }
 
@@ -189,13 +196,13 @@ TEST(SignedMonomials, MatchEvalOnRandomTiles) {
   auto monos = term.signed_monomials();
   for (double xi : {1.0, 3.0, 8.0}) {
     for (double xt : {1.0, 2.0, 9.0}) {
-      double direct = term.eval({{"i", xi}, {"t", xt}});
+      const std::vector<double> x =
+          tile_point(analysis.tile_vars, {{"i", xi}, {"t", xt}});
+      double direct = term.eval(x);
       double summed = 0;
       for (const auto& m : monos) {
         double v = m.coeff.to_double();
-        for (const auto& [var, d] : m.degrees) {
-          v *= std::pow(var == "i" ? xi : xt, d);
-        }
+        for (const auto& [var, d] : m.degrees) v *= std::pow(x[var], d);
         summed += v;
       }
       EXPECT_NEAR(direct, summed, 1e-9);
@@ -242,37 +249,17 @@ double inclusion_exclusion_size(bounds::TermKind kind,
   return prod;
 }
 
-// A term with one single-variable dimension per extent ("v0", "v1", ...),
-// and the tile point that gives dimension i the extent e[i].
-struct FoldCase {
+// A term with one single-variable dimension per offset count (dimension i
+// is indexed by tile variable i with c[i] offsets), so the tile point e
+// gives dimension i the extent e[i].
+AccessTerm fold_term(bounds::TermKind kind, const std::vector<long long>& c) {
   AccessTerm term;
-  std::map<std::string, double> tiles;
-  std::vector<double> x;  // the same point, indexed for CompiledTerm
-};
-
-FoldCase fold_case(bounds::TermKind kind, const std::vector<double>& e,
-                   const std::vector<long long>& c) {
-  FoldCase out;
-  out.term.array = "A";
-  out.term.kind = kind;
-  for (std::size_t i = 0; i < e.size(); ++i) {
-    const std::string v = "v" + std::to_string(i);
-    out.term.dims.push_back({bounds::DimSpec::Mode::kProduct, {v}, c[i]});
-    out.tiles[v] = e[i];
-    out.x.push_back(e[i]);
+  term.array = "A";
+  term.kind = kind;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    term.dims.push_back({bounds::DimSpec::Mode::kProduct, {i}, c[i]});
   }
-  return out;
-}
-
-// The optimizer's index-compiled view of a fold_case term.
-bounds::opt::CompiledTerm compiled(const AccessTerm& term) {
-  bounds::opt::CompiledTerm out;
-  out.kind = term.kind;
-  for (std::size_t i = 0; i < term.dims.size(); ++i) {
-    out.dims.push_back({bounds::DimSpec::Mode::kProduct, {i},
-                        static_cast<double>(term.dims[i].offsets)});
-  }
-  return out;
+  return term;
 }
 
 constexpr bounds::TermKind kAllKinds[] = {
@@ -294,14 +281,12 @@ TEST(AccessSizeFold, MatchesInclusionExclusionOnRandomTerms) {
         cd[i] = static_cast<double>(c[i]);
       }
       for (bounds::TermKind kind : kAllKinds) {
-        const FoldCase fc = fold_case(kind, e, c);
         const double want = inclusion_exclusion_size(kind, e, cd);
         const double tol = 1e-12 * std::fabs(want);
         const std::string label = "n=" + std::to_string(n) + " trial " +
                                   std::to_string(trial) + " kind " +
                                   std::to_string(static_cast<int>(kind));
-        EXPECT_NEAR(fc.term.eval(fc.tiles), want, tol) << label;
-        EXPECT_NEAR(compiled(fc.term).eval(fc.x), want, tol) << label;
+        EXPECT_NEAR(fold_term(kind, c).eval(e), want, tol) << label;
       }
     }
   }
@@ -326,13 +311,12 @@ TEST(AccessSizeFold, LargeTilesKeepFullPrecision) {
     difference += summand;
     prod *= static_cast<long double>(e[i]);
   }
-  const FoldCase io = fold_case(bounds::TermKind::kInputOutput, e, c);
   const double want_io = static_cast<double>(difference);
-  EXPECT_NEAR(io.term.eval(io.tiles), want_io, 1e-12 * want_io);
-  EXPECT_NEAR(compiled(io.term).eval(io.x), want_io, 1e-12 * want_io);
-  const FoldCase plain = fold_case(bounds::TermKind::kPlain, e, c);
+  EXPECT_NEAR(fold_term(bounds::TermKind::kInputOutput, c).eval(e), want_io,
+              1e-12 * want_io);
   const double want_plain = static_cast<double>(prod + difference);
-  EXPECT_NEAR(plain.term.eval(plain.tiles), want_plain, 1e-12 * want_plain);
+  EXPECT_NEAR(fold_term(bounds::TermKind::kPlain, c).eval(e), want_plain,
+              1e-12 * want_plain);
 }
 
 TEST(AccessSizeFold, EvaluatesTwentyFourDimensions) {
@@ -341,13 +325,10 @@ TEST(AccessSizeFold, EvaluatesTwentyFourDimensions) {
   const std::vector<double> e(24, 2.0);
   const std::vector<long long> c(24, 1);
   const double two24 = 16777216.0;
-  const FoldCase io = fold_case(bounds::TermKind::kInputOutput, e, c);
-  EXPECT_EQ(io.term.eval(io.tiles), two24 - 1.0);
-  EXPECT_EQ(compiled(io.term).eval(io.x), two24 - 1.0);
-  const FoldCase plain = fold_case(bounds::TermKind::kPlain, e, c);
-  EXPECT_EQ(plain.term.eval(plain.tiles), 2.0 * two24 - 1.0);
-  const FoldCase versioned = fold_case(bounds::TermKind::kVersioned, e, c);
-  EXPECT_EQ(compiled(versioned.term).eval(versioned.x), two24);
+  EXPECT_EQ(fold_term(bounds::TermKind::kInputOutput, c).eval(e),
+            two24 - 1.0);
+  EXPECT_EQ(fold_term(bounds::TermKind::kPlain, c).eval(e), 2.0 * two24 - 1.0);
+  EXPECT_EQ(fold_term(bounds::TermKind::kVersioned, c).eval(e), two24);
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ TEST(Deadline, ZeroBudgetExpiresImmediatelyLongBudgetDoesNot) {
 TEST(ResourceBudget, ZeroMeansUnlimited) {
   ResourceBudget b;
   EXPECT_TRUE(b.unlimited());
-  b.max_subgraphs = 10;
+  b.max_solver_evals = 10;
   EXPECT_FALSE(b.unlimited());
 }
 

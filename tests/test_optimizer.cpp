@@ -6,9 +6,11 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bounds/opt/backend.hpp"
 #include "bounds/opt/evaluator.hpp"
@@ -16,9 +18,12 @@
 #include "bounds/single_statement.hpp"
 #include "frontend/lower.hpp"
 #include "support/cancel.hpp"
+#include "test_util.hpp"
 
 namespace soap::bounds {
 namespace {
+
+using testing::tile_point;
 
 OptimizationProblem problem_of(const std::string& source) {
   Program p = frontend::parse_program(source);
@@ -99,11 +104,11 @@ TEST(DeriveChi, SumObjectiveDoublesConstant) {
   AccessTerm shared;
   shared.array = "A";
   shared.kind = TermKind::kPlain;
-  shared.dims = {{DimSpec::Mode::kProduct, {"i"}, 0},
-                 {DimSpec::Mode::kProduct, {"j"}, 0}};
+  shared.dims = {{DimSpec::Mode::kProduct, {0}, 0},
+                 {DimSpec::Mode::kProduct, {1}, 0}};
   p.sum_terms = {shared};
   ObjectiveMonomial m;
-  m.degrees = {{"i", 1}, {"j", 1}};
+  m.degrees = {{0, 1}, {1, 1}};
   m.coeff = 2;
   p.objective = {m};
   auto chi = derive_chi(p);
@@ -128,8 +133,9 @@ for i in range(N):
 )");
   double X = 3e4;
   NumericOptimum opt = solve_default(p, X);
+  const std::vector<double> x = tile_point(p.vars, opt.tiles);
   double used = 0;
-  for (const AccessTerm& t : p.sum_terms) used += t.eval(opt.tiles);
+  for (const AccessTerm& t : p.sum_terms) used += t.eval(x);
   EXPECT_LE(used, X * (1.0 + 1e-6));
   // chi(X) = (X/3)^{3/2} for gemm.
   EXPECT_NEAR(opt.chi, std::pow(X / 3.0, 1.5), 0.01 * std::pow(X / 3.0, 1.5));
@@ -145,7 +151,8 @@ for i in range(N):
   ASSERT_EQ(p.single_terms.size(), 1u);
   double X = 1e4;
   NumericOptimum opt = solve_default(p, X);
-  EXPECT_LE(p.single_terms[0].eval(opt.tiles), X * (1.0 + 1e-6));
+  EXPECT_LE(p.single_terms[0].eval(tile_point(p.vars, opt.tiles)),
+            X * (1.0 + 1e-6));
   EXPECT_NEAR(opt.chi, X, 0.02 * X);  // chi ~ X (output-bound)
 }
 
@@ -181,13 +188,23 @@ for i in range(N):
 )");
 }
 
-/// Total budget use of a tile assignment: sum of the sum terms (the
-/// dominator constraint's left-hand side).
-double budget_use(const OptimizationProblem& p,
-                  const std::map<std::string, double>& tiles) {
+/// Total budget use of a tile point: sum of the sum terms (the dominator
+/// constraint's left-hand side).
+double budget_use(const OptimizationProblem& p, const std::vector<double>& x) {
   double used = 0.0;
-  for (const AccessTerm& t : p.sum_terms) used += t.eval(tiles);
+  for (const AccessTerm& t : p.sum_terms) used += t.eval(x);
   return used;
+}
+
+/// The shared feasibility projection: scales x by the largest uniform
+/// factor feasible_scale admits, clamping each tile at the paper's
+/// |D_t| >= 1; std::nullopt when even the all-ones point is infeasible.
+std::optional<std::vector<double>> project(const OptimizationProblem& p,
+                                           std::vector<double> x, double X) {
+  const double m = opt::feasible_scale(p, x, X);
+  if (m == 0.0) return std::nullopt;
+  for (double& v : x) v = opt::clamp_tile(m * v);
+  return x;
 }
 
 TEST(ResultCodes, NamesSeverityAndParsing) {
@@ -277,15 +294,17 @@ TEST(ProjectFeasible, ProjectedPointSatisfiesEveryConstraint) {
   OptimizationProblem p = gemm_problem();
   const double X = 3e4;
   // A wildly infeasible start: every tile far beyond the budget.
-  std::map<std::string, double> tiles{{"i", 1e12}, {"j", 3e11}, {"k", 7e10}};
-  auto proj = opt::project_feasible(p, tiles, X);
+  auto proj = project(p, tile_point(p.vars, {{"i", 1e12},
+                                             {"j", 3e11},
+                                             {"k", 7e10}}),
+                      X);
   ASSERT_TRUE(proj);
   EXPECT_LE(budget_use(p, *proj), X * (1.0 + 1e-9));
   for (const AccessTerm& t : p.single_terms) {
     EXPECT_LE(t.eval(*proj), X * (1.0 + 1e-9));
   }
-  for (const auto& [var, v] : *proj) {
-    EXPECT_GE(v, 1.0) << var;  // the paper's |D_t| >= 1
+  for (std::size_t i = 0; i < proj->size(); ++i) {
+    EXPECT_GE((*proj)[i], 1.0) << p.vars[i];  // the paper's |D_t| >= 1
   }
   // The projection lands on the budget surface, not merely inside it.
   EXPECT_GE(budget_use(p, *proj), X * (1.0 - 1e-6));
@@ -294,13 +313,13 @@ TEST(ProjectFeasible, ProjectedPointSatisfiesEveryConstraint) {
 TEST(ProjectFeasible, ReprojectionIsIdempotent) {
   OptimizationProblem p = gemm_problem();
   const double X = 1e6;
-  std::map<std::string, double> tiles{{"i", 5e7}, {"j", 5e7}, {"k", 2e3}};
-  auto once = opt::project_feasible(p, tiles, X);
+  auto once =
+      project(p, tile_point(p.vars, {{"i", 5e7}, {"j", 5e7}, {"k", 2e3}}), X);
   ASSERT_TRUE(once);
-  auto twice = opt::project_feasible(p, *once, X);
+  auto twice = project(p, *once, X);
   ASSERT_TRUE(twice);
-  for (const auto& [var, v] : *once) {
-    EXPECT_NEAR(twice->at(var), v, 1e-6 * v) << var;
+  for (std::size_t i = 0; i < once->size(); ++i) {
+    EXPECT_NEAR((*twice)[i], (*once)[i], 1e-6 * (*once)[i]) << p.vars[i];
   }
 }
 
@@ -308,14 +327,25 @@ TEST(ProjectFeasible, InfeasibleProblemReturnsNullopt) {
   OptimizationProblem p = gemm_problem();
   // Even the all-ones point needs three loads (one element each of A, B
   // and C), so a budget of X = 1 admits no feasible tile.
-  std::map<std::string, double> tiles{{"i", 1e6}, {"j", 1e6}, {"k", 1e6}};
-  EXPECT_FALSE(opt::project_feasible(p, tiles, 1.0));
+  EXPECT_FALSE(project(p, std::vector<double>(p.vars.size(), 1e6), 1.0));
 }
 
 TEST(ProjectFeasible, MissingTileVariableThrows) {
+  // A term naming a tile variable past the end of `vars` is rejected where
+  // the problem enters the numeric layer: by every backend before it
+  // searches, and by derive_chi before the exponent LP.
   OptimizationProblem p = gemm_problem();
-  std::map<std::string, double> tiles{{"i", 10.0}, {"j", 10.0}};  // no "k"
-  EXPECT_THROW(opt::project_feasible(p, tiles, 1e4), std::out_of_range);
+  p.sum_terms[0].dims[0].vars.push_back(p.vars.size());
+  for (opt::BackendKind kind :
+       {opt::BackendKind::kNelderMead, opt::BackendKind::kMultistart,
+        opt::BackendKind::kSubplex}) {
+    opt::SolveRequest request;
+    request.X = 1e4;
+    EXPECT_THROW(testing::sink(opt::backend(kind).solve(p, request)),
+                 std::out_of_range)
+        << opt::backend_name(kind);
+  }
+  EXPECT_THROW(testing::sink(derive_chi(p)), std::out_of_range);
 }
 
 TEST(OptimizerBackend, HealthySolveReportsSuccess) {
@@ -349,7 +379,8 @@ TEST(OptimizerBackend, IterationStarvationSurfacesNoConverge) {
         << opt::backend_name(kind);
     // The best-so-far point is still populated and feasible.
     EXPECT_GT(result.optimum.chi, 0.0) << opt::backend_name(kind);
-    EXPECT_LE(budget_use(p, result.optimum.tiles), 3e4 * (1.0 + 1e-6))
+    EXPECT_LE(budget_use(p, tile_point(p.vars, result.optimum.tiles)),
+              3e4 * (1.0 + 1e-6))
         << opt::backend_name(kind);
   }
 }

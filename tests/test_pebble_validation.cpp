@@ -34,8 +34,8 @@ for i in range(N):
 )");
 }
 
-ShardOptions with_threads(std::size_t threads) {
-  ShardOptions shard;
+support::ParallelOptions with_threads(std::size_t threads) {
+  support::ParallelOptions shard;
   shard.threads = threads;
   return shard;
 }
@@ -188,7 +188,7 @@ TEST(ValidateSchedules, SerialExecutorForcesInlineExecution) {
   Cdag gemm = instantiate(gemm_program(), {{"N", 2}});
   std::vector<PebbleCase> cases;
   for (std::size_t S = 4; S <= 8; ++S) cases.push_back({&gemm, S});
-  ShardOptions shard;
+  support::ParallelOptions shard;
   shard.threads = 8;
   shard.executor = support::ExecutorRef::serial();
   std::vector<ScheduleValidation> inline_run =
