@@ -6,7 +6,8 @@
 //     committed baseline demonstrates the headline gap: a warm hit is
 //     orders of magnitude below the cold derivation.
 //   BM_CorpusServe/{cold,warm}           — a 10-kernel corpus sweep
-//     through analyze_corpus_cached, cold vs fully warm.
+//     through analyze_corpus_resilient with the cached derive step
+//     (service::cached_derive), cold vs fully warm.
 //   BM_HitRateSweep/<pct>                — synthetic request stream at a
 //     fixed hit percentage against a cheap derive, with the achieved
 //     hit_rate and p50/p99 per-request latency reported as counters.
@@ -57,7 +58,8 @@ void BM_KernelCold(benchmark::State& state, const std::string& name) {
   const auto& entry = soap::kernels::kernel_by_name(name);
   for (auto _ : state) {
     BoundCache cache;
-    auto outcome = soap::service::analyze_kernel_cached(cache, entry);
+    auto outcome = soap::kernels::analyze_kernel_checked(
+        entry, 1, {}, {}, soap::service::cached_derive(cache));
     benchmark::DoNotOptimize(outcome);
   }
 }
@@ -68,11 +70,14 @@ void BM_KernelCold(benchmark::State& state, const std::string& name) {
 void BM_KernelWarm(benchmark::State& state, const std::string& name) {
   const auto& entry = soap::kernels::kernel_by_name(name);
   BoundCache cache;
-  (void)soap::service::analyze_kernel_cached(cache, entry);  // prime
+  const soap::kernels::DeriveFn derive = soap::service::cached_derive(cache);
+  // Prime the cache.
+  (void)soap::kernels::analyze_kernel_checked(entry, 1, {}, {}, derive);
   std::vector<std::uint64_t> latencies_ns;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto outcome = soap::service::analyze_kernel_cached(cache, entry);
+    auto outcome =
+        soap::kernels::analyze_kernel_checked(entry, 1, {}, {}, derive);
     const auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(outcome);
     latencies_ns.push_back(static_cast<std::uint64_t>(
@@ -90,7 +95,8 @@ void BM_CorpusCold(benchmark::State& state) {
   const auto entries = corpus_entries();
   for (auto _ : state) {
     BoundCache cache;
-    auto report = soap::service::analyze_corpus_cached(cache, entries);
+    auto report = soap::kernels::analyze_corpus_resilient(
+        entries, {}, soap::service::cached_derive(cache));
     benchmark::DoNotOptimize(report);
   }
 }
@@ -98,9 +104,11 @@ void BM_CorpusCold(benchmark::State& state) {
 void BM_CorpusWarm(benchmark::State& state) {
   const auto entries = corpus_entries();
   BoundCache cache;
-  (void)soap::service::analyze_corpus_cached(cache, entries);  // prime
+  const soap::kernels::DeriveFn derive = soap::service::cached_derive(cache);
+  // Prime the cache.
+  (void)soap::kernels::analyze_corpus_resilient(entries, {}, derive);
   for (auto _ : state) {
-    auto report = soap::service::analyze_corpus_cached(cache, entries);
+    auto report = soap::kernels::analyze_corpus_resilient(entries, {}, derive);
     benchmark::DoNotOptimize(report);
   }
   state.counters["hit_rate"] = cache.stats().hit_rate();

@@ -69,7 +69,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/attainment.hpp"
@@ -79,7 +78,6 @@
 #include "sdg/sdg.hpp"
 #include "service/analyze.hpp"
 #include "service/bound_cache.hpp"
-#include "service/cache_key.hpp"
 #include "service/json.hpp"
 #include "soap/program.hpp"
 #include "support/cancel.hpp"
@@ -115,6 +113,35 @@ bool parse_cache_sizes(const std::string& csv, std::vector<long long>& out) {
   return !out.empty();
 }
 
+// The kernels --corpus/--attainment run: every registered kernel, or the
+// kernels of `family` when one is given.  Empty (after printing the error)
+// for an unknown family.
+std::vector<const soap::kernels::KernelEntry*> select_kernels(
+    const std::string& family) {
+  using namespace soap;
+  const kernels::Registry& registry = kernels::Registry::instance();
+  std::vector<const kernels::KernelEntry*> rows;
+  if (family.empty()) {
+    for (const kernels::KernelEntry& k : registry.kernels()) {
+      rows.push_back(&k);
+    }
+    return rows;
+  }
+  rows = registry.family(family);
+  if (rows.empty()) {
+    std::fprintf(stderr, "unknown kernel family '%s'\n", family.c_str());
+  }
+  return rows;
+}
+
+// The note under a degraded bound (the partial result of a tripped run).
+void print_degraded_note(soap::support::StatusCode reason) {
+  std::printf("degraded [%s]: a budget criterion tripped "
+              "mid-derivation; the bound above is the sound "
+              "per-statement fallback (partial result)\n",
+              soap::support::status_code_name(reason));
+}
+
 // --attainment: the close-the-loop table (docs/ATTAINMENT.md): per
 // (kernel, cache size), the corpus bound next to the simulated I/O of the
 // derived tiling, with the soundness invariant enforced via the exit code.
@@ -122,22 +149,17 @@ int run_attainment(const std::string& family, std::size_t threads,
                    const std::vector<long long>& cache_sizes,
                    const soap::support::StopCriteria& stop, bool json) {
   using namespace soap;
+  const std::vector<const kernels::KernelEntry*> kernels =
+      select_kernels(family);
+  if (kernels.empty()) {
+    return support::status_exit_code(support::StatusCode::kInvalidInput);
+  }
   analysis::AttainmentOptions options;
   options.threads = threads;
   options.stop = stop;
   if (!cache_sizes.empty()) options.cache_sizes = cache_sizes;
-  std::vector<analysis::AttainmentRow> rows;
-  if (family.empty()) {
-    rows = analysis::attainment_table(options);
-  } else {
-    std::vector<const kernels::KernelEntry*> subset =
-        kernels::Registry::instance().family(family);
-    if (subset.empty()) {
-      std::fprintf(stderr, "unknown kernel family '%s'\n", family.c_str());
-      return support::status_exit_code(support::StatusCode::kInvalidInput);
-    }
-    rows = analysis::attainment_table(subset, options);
-  }
+  const std::vector<analysis::AttainmentRow> rows =
+      analysis::attainment_table(kernels, options);
   if (json) {
     std::printf("%s\n", service::attainment_json(rows).c_str());
   } else {
@@ -177,46 +199,33 @@ int list_kernels() {
 // class of the first non-ok kernel.
 int run_corpus(const std::string& family, std::size_t threads,
                const soap::support::StopCriteria& stop, bool json,
-               soap::service::BoundCache* cache) {
+               const soap::kernels::DeriveFn& derive) {
   using namespace soap;
-  const kernels::Registry& registry = kernels::Registry::instance();
-  std::vector<const kernels::KernelEntry*> rows;
-  if (family.empty()) {
-    for (const kernels::KernelEntry& k : registry.kernels()) {
-      rows.push_back(&k);
-    }
-  } else {
-    rows = registry.family(family);
-    if (rows.empty()) {
-      std::fprintf(stderr, "unknown kernel family '%s'\n", family.c_str());
-      return support::status_exit_code(support::StatusCode::kInvalidInput);
-    }
+  const std::vector<const kernels::KernelEntry*> rows = select_kernels(family);
+  if (rows.empty()) {
+    return support::status_exit_code(support::StatusCode::kInvalidInput);
   }
   kernels::CorpusOptions options;
   options.threads = threads;
   options.stop = stop;
-  kernels::CorpusReport report =
-      cache != nullptr ? service::analyze_corpus_cached(*cache, rows, options)
-                       : kernels::analyze_corpus_resilient(rows, options);
+  const kernels::CorpusReport report =
+      kernels::analyze_corpus_resilient(rows, options, derive);
   if (json) {
     std::printf("%s\n", service::corpus_json(report).c_str());
-    const std::string summary = report.failure_summary();
-    if (!summary.empty()) std::fputs(summary.c_str(), stderr);
-    return support::status_exit_code(report.worst_status());
-  }
-  for (const kernels::KernelOutcome& out : report.kernels) {
-    if (out.ok()) {
-      std::printf("%-16s %-22s Q >= %s%s\n", out.family.c_str(),
-                  out.kernel.c_str(), out.bound->str().c_str(),
-                  out.degraded ? "  [degraded]" : "");
-    } else {
-      std::printf("%-16s %-22s FAILED [%s]%s%s\n", out.family.c_str(),
-                  out.kernel.c_str(), support::status_code_name(out.status),
-                  out.message.empty() ? "" : ": ",
-                  out.message.c_str());
+  } else {
+    for (const kernels::KernelOutcome& out : report.kernels) {
+      if (out.ok()) {
+        std::printf("%-16s %-22s Q >= %s%s\n", out.family.c_str(),
+                    out.kernel.c_str(), out.bound->str().c_str(),
+                    out.degraded ? "  [degraded]" : "");
+      } else {
+        std::printf("%-16s %-22s FAILED [%s]%s%s\n", out.family.c_str(),
+                    out.kernel.c_str(), support::status_code_name(out.status),
+                    out.message.empty() ? "" : ": ", out.message.c_str());
+      }
     }
+    std::printf("%zu kernels analyzed\n", report.kernels.size());
   }
-  std::printf("%zu kernels analyzed\n", report.kernels.size());
   const std::string summary = report.failure_summary();
   if (!summary.empty()) std::fputs(summary.c_str(), stderr);
   return support::status_exit_code(report.worst_status());
@@ -228,7 +237,7 @@ int run_corpus(const std::string& family, std::size_t threads,
 // with the trip code.
 int run_kernel(const std::string& name, std::size_t threads,
                const soap::support::StopCriteria& stop, bool json,
-               soap::service::BoundCache* cache) {
+               const soap::kernels::DeriveFn& derive) {
   using namespace soap;
   const kernels::KernelEntry* entry = nullptr;
   try {
@@ -238,10 +247,8 @@ int run_kernel(const std::string& name, std::size_t threads,
                  name.c_str());
     return support::status_exit_code(support::StatusCode::kInvalidInput);
   }
-  kernels::KernelOutcome out =
-      cache != nullptr
-          ? service::analyze_kernel_cached(*cache, *entry, threads, {}, stop)
-          : kernels::analyze_kernel_checked(*entry, threads, {}, stop);
+  const kernels::KernelOutcome out =
+      kernels::analyze_kernel_checked(*entry, threads, {}, stop, derive);
   if (json) {
     std::printf("%s\n", service::outcome_json(out).c_str());
     return support::status_exit_code(out.status);
@@ -249,12 +256,7 @@ int run_kernel(const std::string& name, std::size_t threads,
   if (out.ok()) {
     std::printf("%-16s %-22s Q >= %s\n", out.family.c_str(),
                 out.kernel.c_str(), out.bound->str().c_str());
-    if (out.degraded) {
-      std::printf("degraded [%s]: a budget criterion tripped "
-                  "mid-derivation; the bound above is the sound "
-                  "per-statement fallback (partial result)\n",
-                  support::status_code_name(out.status));
-    }
+    if (out.degraded) print_degraded_note(out.status);
   } else {
     std::fprintf(stderr, "error [%s]: %s\n",
                  support::status_code_name(out.status), out.message.c_str());
@@ -281,10 +283,32 @@ int main(int argc, char** argv) {
   std::size_t timeout_ms = 0;
   std::size_t node_budget = 0;
   sdg::SdgOptions options;
-  // Strict parse (support::consume_size_flag): a typo must not dial the
-  // tool up to hardware_concurrency or silently change the enumeration
-  // caps, so unlike the bench drivers' silent serial fallback, a bad value
+  struct BoolFlag {
+    const char* arg;
+    bool* out;
+  };
+  const BoolFlag bool_flags[] = {
+      {"--sdg", &dump_sdg},
+      {"--list-kernels", &list},
+      {"--corpus", &corpus},
+      {"--attainment", &attainment},
+      {"--json", &json},
+      {"--cache", &use_cache},
+  };
+  // Strict parse (support::consume_*_flag): a typo must not dial the tool
+  // up to hardware_concurrency or silently change the enumeration caps, so
+  // unlike the silent serial fallback of the Table 2 benches, a bad value
   // here is a usage error.
+  struct StringFlag {
+    const char* name;
+    std::string* out;
+  };
+  const StringFlag string_flags[] = {
+      {"cache-file", &cache_file},
+      {"cache-sizes", &cache_sizes_csv},
+      {"family", &family},
+      {"kernel", &kernel},
+  };
   struct SizeFlag {
     const char* name;
     std::size_t* out;
@@ -299,99 +323,35 @@ int main(int argc, char** argv) {
   std::string flag_error;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--sdg") {
-      dump_sdg = true;
-      continue;
-    }
-    if (arg == "--list-kernels") {
-      list = true;
-      continue;
-    }
-    if (arg == "--corpus") {
-      corpus = true;
-      continue;
-    }
-    if (arg == "--attainment") {
-      attainment = true;
-      continue;
-    }
-    if (arg == "--json") {
-      json = true;
-      continue;
-    }
-    if (arg == "--cache") {
-      use_cache = true;
-      continue;
-    }
-    switch (support::consume_string_flag(argc, argv, i, "cache-file",
-                                         cache_file, &flag_error)) {
-      case support::FlagParse::kOk:
-        use_cache = true;
-        continue;
-      case support::FlagParse::kBadValue:
-        std::fprintf(stderr, "invalid value for --cache-file: %s\n",
-                     flag_error.c_str());
-        return usage(argv[0]);
-      case support::FlagParse::kNoMatch:
-        break;
-    }
-    switch (support::consume_string_flag(argc, argv, i, "cache-sizes",
-                                         cache_sizes_csv, &flag_error)) {
-      case support::FlagParse::kOk:
-        if (!parse_cache_sizes(cache_sizes_csv, cache_sizes)) {
-          std::fprintf(stderr,
-                       "invalid --cache-sizes '%s' (comma-separated "
-                       "positive sizes)\n",
-                       cache_sizes_csv.c_str());
-          return usage(argv[0]);
-        }
-        continue;
-      case support::FlagParse::kBadValue:
-        std::fprintf(stderr, "invalid value for --cache-sizes: %s\n",
-                     flag_error.c_str());
-        return usage(argv[0]);
-      case support::FlagParse::kNoMatch:
-        break;
-    }
-    switch (support::consume_string_flag(argc, argv, i, "family", family,
-                                         &flag_error)) {
-      case support::FlagParse::kOk:
-        continue;
-      case support::FlagParse::kBadValue:
-        std::fprintf(stderr, "invalid value for --family: %s\n",
-                     flag_error.c_str());
-        return usage(argv[0]);
-      case support::FlagParse::kNoMatch:
-        break;
-    }
-    switch (support::consume_string_flag(argc, argv, i, "kernel", kernel,
-                                         &flag_error)) {
-      case support::FlagParse::kOk:
-        continue;
-      case support::FlagParse::kBadValue:
-        std::fprintf(stderr, "invalid value for --kernel: %s\n",
-                     flag_error.c_str());
-        return usage(argv[0]);
-      case support::FlagParse::kNoMatch:
-        break;
-    }
     bool matched = false;
-    for (const SizeFlag& flag : size_flags) {
-      switch (support::consume_size_flag(argc, argv, i, flag.name, *flag.out,
-                                         &flag_error)) {
-        case support::FlagParse::kOk:
-          matched = true;
-          break;
-        case support::FlagParse::kBadValue:
-          std::fprintf(stderr, "invalid value for --%s: %s\n", flag.name,
-                       flag_error.c_str());
-          return usage(argv[0]);
-        case support::FlagParse::kNoMatch:
-          break;
-      }
-      if (matched) break;
+    for (const BoolFlag& flag : bool_flags) {
+      if (arg != flag.arg) continue;
+      *flag.out = true;
+      matched = true;
     }
     if (matched) continue;
+    // Valued flags: the first table entry that recognizes `arg` consumes
+    // it; a recognized flag with a bad value is a usage error.
+    support::FlagParse parsed = support::FlagParse::kNoMatch;
+    const char* parsed_name = nullptr;
+    for (const StringFlag& flag : string_flags) {
+      if (parsed != support::FlagParse::kNoMatch) break;
+      parsed = support::consume_string_flag(argc, argv, i, flag.name,
+                                            *flag.out, &flag_error);
+      parsed_name = flag.name;
+    }
+    for (const SizeFlag& flag : size_flags) {
+      if (parsed != support::FlagParse::kNoMatch) break;
+      parsed = support::consume_size_flag(argc, argv, i, flag.name, *flag.out,
+                                          &flag_error);
+      parsed_name = flag.name;
+    }
+    if (parsed == support::FlagParse::kBadValue) {
+      std::fprintf(stderr, "invalid value for --%s: %s\n", parsed_name,
+                   flag_error.c_str());
+      return usage(argv[0]);
+    }
+    if (parsed == support::FlagParse::kOk) continue;
     if (arg.rfind("-", 0) == 0) {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       return usage(argv[0]);
@@ -402,6 +362,15 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
     path = arg;
+  }
+  if (!cache_file.empty()) use_cache = true;
+  if (!cache_sizes_csv.empty() &&
+      !parse_cache_sizes(cache_sizes_csv, cache_sizes)) {
+    std::fprintf(stderr,
+                 "invalid --cache-sizes '%s' (comma-separated "
+                 "positive sizes)\n",
+                 cache_sizes_csv.c_str());
+    return usage(argv[0]);
   }
   // `--family NAME` on its own is a corpus filter; with --attainment it
   // filters the attainment sweep instead.
@@ -464,20 +433,22 @@ int main(int argc, char** argv) {
   stop.budget.max_live_nodes = node_budget;
   options.stop = stop;
   std::unique_ptr<service::BoundCache> cache;
+  kernels::DeriveFn derive = sdg::multi_statement_bound;
   if (use_cache) {
     service::BoundCacheOptions cache_options;
     cache_options.persist_path = cache_file;
     cache = std::make_unique<service::BoundCache>(cache_options);
+    derive = service::cached_derive(*cache);
   }
   if (list) return list_kernels();
   if (attainment) {
     return run_attainment(family, options.threads, cache_sizes, stop, json);
   }
   if (corpus) {
-    return run_corpus(family, options.threads, stop, json, cache.get());
+    return run_corpus(family, options.threads, stop, json, derive);
   }
   if (!kernel.empty()) {
-    return run_kernel(kernel, options.threads, stop, json, cache.get());
+    return run_kernel(kernel, options.threads, stop, json, derive);
   }
   std::string source;
   if (path.empty()) {
@@ -507,58 +478,28 @@ int main(int argc, char** argv) {
         std::printf("\n%s\n", sdg::Sdg::build(program).dot().c_str());
       }
     }
-    std::optional<sdg::MultiStatementBound> bound;
-    const char* cache_outcome = "off";
-    if (cache != nullptr) {
-      service::ProgramAnalysis analysis =
-          service::analyze_program_cached(*cache, program, options);
-      bound = std::move(analysis.bound);
-      cache_outcome = service::cache_outcome_name(analysis.outcome);
-    } else {
-      bound = sdg::multi_statement_bound(program, options);
-    }
+    const service::ProgramAnalysis analysis =
+        service::analyze_program(cache.get(), program, options);
+    const std::optional<sdg::MultiStatementBound>& bound = analysis.bound;
+    const int code = bound && bound->degraded
+                         ? support::status_exit_code(bound->degraded_reason)
+                         : 0;
     if (json) {
-      const service::CacheKey key = service::make_cache_key(program, options);
-      std::string reply =
-          "{\"digest\":" + service::json_string(key.digest.hex());
-      reply += ",\"cache\":" + service::json_string(cache_outcome);
-      if (!bound) {
-        reply +=
-            ",\"status\":\"ok\",\"bound\":null,"
-            "\"note\":\"no non-trivial bound (unlimited reuse)\"";
-      } else {
-        const char* status =
-            bound->degraded ? support::status_code_name(bound->degraded_reason)
-                            : "ok";
-        reply += ",\"status\":" + service::json_string(status) + ',' +
-                 service::bound_json_fields(*bound);
-      }
-      reply += '}';
-      std::printf("%s\n", reply.c_str());
-      if (bound && bound->degraded) {
-        return support::status_exit_code(bound->degraded_reason);
-      }
-      return 0;
+      std::printf("{%s}\n", service::program_json_fields(analysis).c_str());
+      return code;
     }
     if (!bound) {
       std::puts("no non-trivial bound (unbounded reuse)");
       return 0;
     }
     std::printf("I/O lower bound:  Q >= %s\n", bound->Q_leading.str().c_str());
-    if (bound->degraded) {
-      std::printf("degraded [%s]: a budget criterion tripped "
-                  "mid-derivation; the bound above is the sound "
-                  "per-statement fallback (partial result)\n",
-                  support::status_code_name(bound->degraded_reason));
-    }
+    if (bound->degraded) print_degraded_note(bound->degraded_reason);
     std::printf("per-array accounting (Theorem 1):\n");
     for (const auto& a : bound->per_array) {
       std::printf("  %-12s |A| = %-18s best rho = %s\n", a.array.c_str(),
                   a.cdag_size.str().c_str(), a.rho.str().c_str());
     }
-    if (bound->degraded) {
-      return support::status_exit_code(bound->degraded_reason);
-    }
+    return code;
   } catch (const support::AnalysisError& e) {
     std::fprintf(stderr, "error [%s]: %s\n",
                  support::status_code_name(e.code()), e.what());
@@ -567,5 +508,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return 0;
 }

@@ -81,7 +81,7 @@ struct AttainmentRow {
   /// then over-states the gap (it is an upper bound on attainable I/O).
   bool fused = false;
   /// True when a deadline/budget trip degraded the bound derivation to the
-  /// per-statement fallback (SdgOptions::degrade_on_budget).  The row is
+  /// per-statement fallback (see SdgOptions::stop).  The row is
   /// still sound — the per-statement bound is exactly the baseline the
   /// `sound()` invariant validates against — but Q_lb may be weaker than
   /// the fused bound.

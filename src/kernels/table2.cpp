@@ -17,10 +17,6 @@ std::vector<const KernelEntry*> table2_kernels() {
   return rows;
 }
 
-sym::Expr analyze_kernel(const KernelEntry& entry) {
-  return analyze_kernel(entry, entry.options.threads);
-}
-
 sym::Expr analyze_kernel(const KernelEntry& entry, std::size_t threads,
                          support::ExecutorRef executor) {
   Program program = entry.build();
@@ -79,7 +75,8 @@ std::string CorpusReport::failure_summary() const {
 
 KernelOutcome analyze_kernel_checked(
     const KernelEntry& entry, std::size_t threads,
-    support::ExecutorRef executor, const support::StopCriteria& stop) {
+    support::ExecutorRef executor, const support::StopCriteria& stop,
+    const DeriveFn& derive) {
   KernelOutcome out;
   out.kernel = entry.name;
   out.family = entry.family;
@@ -89,7 +86,7 @@ KernelOutcome analyze_kernel_checked(
     options.threads = threads;
     options.executor = executor;
     options.stop = stop;
-    auto bound = sdg::multi_statement_bound(program, options);
+    std::optional<sdg::MultiStatementBound> bound = derive(program, options);
     if (!bound) {
       out.status = support::StatusCode::kInvalidInput;
       out.message = "no non-trivial bound (unlimited reuse)";
@@ -112,7 +109,7 @@ KernelOutcome analyze_kernel_checked(
 
 CorpusReport analyze_corpus_resilient(
     const std::vector<const KernelEntry*>& kernels,
-    const CorpusOptions& options) {
+    const CorpusOptions& options, const DeriveFn& derive) {
   support::ParallelOptions par;
   par.threads = options.threads;
   par.executor = options.executor;
@@ -128,9 +125,9 @@ CorpusReport analyze_corpus_resilient(
   // slot, preserving the partial results the resilient contract promises.
   CorpusReport report;
   report.kernels = support::parallel_map<KernelOutcome>(
-      kernels.size(), par, [&kernels, &options](std::size_t i) {
+      kernels.size(), par, [&kernels, &options, &derive](std::size_t i) {
         return analyze_kernel_checked(*kernels[i], options.threads,
-                                      options.executor, options.stop);
+                                      options.executor, options.stop, derive);
       });
   return report;
 }

@@ -12,11 +12,13 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "kernels/registry.hpp"
+#include "sdg/multi_statement.hpp"
 #include "support/cancel.hpp"
 #include "support/executor.hpp"
 
@@ -45,14 +47,11 @@ std::vector<KernelEntry> sparse_stencil_kernels();
 /// Registry::instance().kernels() for the full corpus.
 std::vector<const KernelEntry*> table2_kernels();
 
-/// Runs the analysis configured for the entry and returns the leading-order
-/// bound (the entry's `options`, including its thread budget).
-sym::Expr analyze_kernel(const KernelEntry& entry);
-
-/// Same, with the entry's configured thread budget overridden (see
+/// Runs the analysis configured for the entry (its `options`) and returns
+/// the leading-order bound, with `threads` subgraph workers (see
 /// SdgOptions::threads: 1 = serial, 0 = all hardware threads) and an
 /// optional executor for the helper workers (default: the global pool).
-sym::Expr analyze_kernel(const KernelEntry& entry, std::size_t threads,
+sym::Expr analyze_kernel(const KernelEntry& entry, std::size_t threads = 1,
                          support::ExecutorRef executor = {});
 
 /// Lookup across the whole registry by name; throws std::out_of_range when
@@ -98,6 +97,13 @@ struct CorpusReport {
   [[nodiscard]] std::string failure_summary() const;
 };
 
+/// How the runners below derive one kernel's bound from its program and
+/// options.  The default is sdg::multi_statement_bound; a cached caller
+/// passes a lambda over service::analyze_program (service/analyze.hpp), so
+/// cached and uncached runs share one outcome and report path.
+using DeriveFn = std::function<std::optional<sdg::MultiStatementBound>(
+    const Program&, const sdg::SdgOptions&)>;
+
 /// Analyzes `entry` under `stop`, never throwing: every error class —
 /// deadline/budget (after the degraded fallback also failed), cancellation,
 /// invalid input, optimizer no-converge, unexpected exceptions — is folded
@@ -105,7 +111,8 @@ struct CorpusReport {
 KernelOutcome analyze_kernel_checked(
     const KernelEntry& entry, std::size_t threads = 1,
     support::ExecutorRef executor = {},
-    const support::StopCriteria& stop = {});
+    const support::StopCriteria& stop = {},
+    const DeriveFn& derive = sdg::multi_statement_bound);
 
 /// Analyzes `kernels` as one batch of (kernel x subgraph) work items:
 /// kernels are claimed concurrently AND each kernel's subgraph analysis
@@ -117,6 +124,7 @@ KernelOutcome analyze_kernel_checked(
 /// summary, never all-or-nothing.
 CorpusReport analyze_corpus_resilient(
     const std::vector<const KernelEntry*>& kernels,
-    const CorpusOptions& options = {});
+    const CorpusOptions& options = {},
+    const DeriveFn& derive = sdg::multi_statement_bound);
 
 }  // namespace soap::kernels

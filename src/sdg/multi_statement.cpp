@@ -215,10 +215,7 @@ std::optional<MultiStatementBound> multi_statement_bound(
     const bool budget_trip =
         code == support::StatusCode::kDeadlineExceeded ||
         code == support::StatusCode::kBudgetExceeded;
-    if (!budget_trip || !options.degrade_on_budget) {
-      throw;  // cancellation/invalid-input always surface; so does a trip
-              // when degradation is off
-    }
+    if (!budget_trip) throw;  // cancellation/invalid-input always surface
     // Graceful degradation: re-derive with the sound per-statement
     // accounting (singleton subgraphs — exactly PR 6's soundness baseline).
     // The fallback is bounded work (one solve per statement), so the

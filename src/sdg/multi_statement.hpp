@@ -46,14 +46,12 @@ struct SdgOptions {
   /// Termination criteria, polled at subgraph-enumeration boundaries and
   /// inside the numeric optimizer.  Default: unlimited — the analysis runs
   /// exactly its historical path and the golden rows stay bit-identical.
-  support::StopCriteria stop;
-  /// When a deadline or resource budget trips mid-derivation, fall back to
-  /// the sound per-statement accounting (max_subgraph_size = 1, serial,
-  /// cancellation still honored) and mark the result `degraded` instead of
+  /// A deadline or resource-budget trip mid-derivation always falls back
+  /// to the sound per-statement accounting (max_subgraph_size = 1, serial,
+  /// cancellation still honored) and marks the result `degraded` instead of
   /// failing the kernel.  Cancellation never degrades — it always raises
-  /// AnalysisError{kCancelled}.  Set false to surface budget trips as
-  /// errors.
-  bool degrade_on_budget = true;
+  /// AnalysisError{kCancelled}.
+  support::StopCriteria stop;
   /// Numeric optimizer backend for the per-subgraph chi constant fits
   /// (bounds/opt, docs/OPTIMIZER.md) — the only place a backend is chosen.
   /// All shipped backends agree on the corpus (the differential suite
@@ -90,8 +88,8 @@ struct MultiStatementBound {
 };
 
 /// Full multi-statement analysis of a SOAP program.  Polls `options.stop`
-/// at enumeration/solver chunk boundaries; see SdgOptions::degrade_on_budget
-/// for what happens when a criterion trips.
+/// at enumeration/solver chunk boundaries; see SdgOptions::stop for what
+/// happens when a criterion trips.
 std::optional<MultiStatementBound> multi_statement_bound(
     const Program& program, const SdgOptions& options = {});
 

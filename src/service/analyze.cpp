@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "support/parallel.hpp"
-
 namespace soap::service {
 
 namespace {
@@ -16,13 +14,16 @@ struct NoNontrivialBound {};
 
 }  // namespace
 
-ProgramAnalysis analyze_program_cached(BoundCache& cache,
-                                       const Program& program,
-                                       const sdg::SdgOptions& options) {
+ProgramAnalysis analyze_program(BoundCache* cache, const Program& program,
+                                const sdg::SdgOptions& options) {
   ProgramAnalysis out;
   out.key = make_cache_key(program, options);
+  if (cache == nullptr) {
+    out.bound = sdg::multi_statement_bound(program, options);
+    return out;
+  }
   try {
-    CachedBound cached = cache.get_or_derive(out.key, [&program, &options] {
+    CachedBound cached = cache->get_or_derive(out.key, [&program, &options] {
       std::optional<sdg::MultiStatementBound> bound =
           sdg::multi_statement_bound(program, options);
       if (!bound) throw NoNontrivialBound{};
@@ -39,57 +40,13 @@ ProgramAnalysis analyze_program_cached(BoundCache& cache,
   return out;
 }
 
-kernels::KernelOutcome analyze_kernel_cached(
-    BoundCache& cache, const kernels::KernelEntry& entry, std::size_t threads,
-    support::ExecutorRef executor, const support::StopCriteria& stop,
-    CacheOutcome* cache_outcome) {
-  kernels::KernelOutcome out;
-  out.kernel = entry.name;
-  out.family = entry.family;
-  try {
-    Program program = entry.build();
-    sdg::SdgOptions options = entry.options;
-    options.threads = threads;
-    options.executor = executor;
-    options.stop = stop;
-    ProgramAnalysis analysis = analyze_program_cached(cache, program, options);
-    if (cache_outcome != nullptr) *cache_outcome = analysis.outcome;
-    if (!analysis.bound) {
-      out.status = support::StatusCode::kInvalidInput;
-      out.message = "no non-trivial bound (unlimited reuse)";
-      return out;
-    }
-    out.bound = analysis.bound->Q_leading;
-    out.degraded = analysis.bound->degraded;
-    out.status = analysis.bound->degraded ? analysis.bound->degraded_reason
-                                          : support::StatusCode::kOk;
-  } catch (const support::AnalysisError& error) {
-    out.status = error.code();
-    out.message = error.what();
-  } catch (const std::exception& error) {
-    out.status = support::StatusCode::kInternalError;
-    out.message = error.what();
-  }
-  return out;
-}
-
-kernels::CorpusReport analyze_corpus_cached(
-    BoundCache& cache, const std::vector<const kernels::KernelEntry*>& kernels,
-    const kernels::CorpusOptions& options) {
-  support::ParallelOptions par;
-  par.threads = options.threads;
-  par.executor = options.executor;
-  // Same shape as analyze_corpus_resilient: no par.cancel (each kernel
-  // observes the token itself, keeping partial results), slot-per-kernel
-  // determinism.  Identical kernels in the input coalesce onto one
-  // derivation instead of racing.
-  kernels::CorpusReport report;
-  report.kernels = support::parallel_map<kernels::KernelOutcome>(
-      kernels.size(), par, [&cache, &kernels, &options](std::size_t i) {
-        return analyze_kernel_cached(cache, *kernels[i], options.threads,
-                                     options.executor, options.stop);
-      });
-  return report;
+kernels::DeriveFn cached_derive(BoundCache& cache, CacheOutcome* outcome) {
+  return [&cache, outcome](const Program& program,
+                           const sdg::SdgOptions& options) {
+    ProgramAnalysis analysis = analyze_program(&cache, program, options);
+    if (outcome != nullptr) *outcome = *analysis.outcome;
+    return std::move(analysis.bound);
+  };
 }
 
 }  // namespace soap::service

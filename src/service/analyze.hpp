@@ -1,51 +1,42 @@
-// Cache-routed analysis entry points (docs/SERVING.md).
+// Cache-routed analysis (docs/SERVING.md).
 //
-// These mirror the kernels-layer entry points exactly — same outcomes,
-// same messages, same slot-per-kernel determinism — with every derivation
-// routed through a BoundCache.  The miss path runs the identical
-// derivation the uncached path would, and a hit returns the interned
-// result of that derivation, so cache-on vs cache-off output is
-// byte-identical (enforced by tests/test_bound_cache.cpp).
+// One program entry point, cached or not, plus the derive step that routes
+// the kernels-layer runners (kernels::analyze_kernel_checked and
+// kernels::analyze_corpus_resilient) through a BoundCache.  The miss path
+// runs the identical derivation the uncached path would, and a hit returns
+// the interned result of that derivation, so cache-on vs cache-off output
+// is byte-identical (enforced by tests/test_bound_cache.cpp).
 #pragma once
 
 #include <optional>
 
 #include "kernels/table2.hpp"
 #include "service/bound_cache.hpp"
+#include "service/cache_key.hpp"
 
 namespace soap::service {
 
-/// Cached program analysis: the serving primitive behind the `analyzed`
-/// protocol and `analyze_tool --cache`.  `bound` is nullopt when the
+/// One program analysis: the serving primitive behind the `analyzed`
+/// protocol and `analyze_tool`'s program mode.  `bound` is nullopt when the
 /// program has no non-trivial bound (never cached — it carries no
-/// MultiStatementBound to store).
+/// MultiStatementBound to store); `outcome` is nullopt when no cache was
+/// used.
 struct ProgramAnalysis {
   CacheKey key;
   std::optional<sdg::MultiStatementBound> bound;
-  CacheOutcome outcome = CacheOutcome::kMiss;
+  std::optional<CacheOutcome> outcome;
 };
 
-/// Analyzes `program` under `options` through `cache`.  Exceptions from
-/// the derivation (cancellation, invalid input, non-degradable budget
-/// trips) propagate exactly as from sdg::multi_statement_bound.
-ProgramAnalysis analyze_program_cached(BoundCache& cache,
-                                       const Program& program,
-                                       const sdg::SdgOptions& options);
+/// Analyzes `program` under `options`, through `cache` when it is non-null.
+/// Exceptions from the derivation (cancellation, invalid input) propagate
+/// exactly as from sdg::multi_statement_bound.
+ProgramAnalysis analyze_program(BoundCache* cache, const Program& program,
+                                const sdg::SdgOptions& options);
 
-/// analyze_kernel_checked with the derivation routed through `cache`;
-/// outcome fields (status, message, degraded, bound) are identical to the
-/// uncached call.  `cache_outcome`, when non-null, reports how the cache
-/// satisfied the request.
-kernels::KernelOutcome analyze_kernel_cached(
-    BoundCache& cache, const kernels::KernelEntry& entry,
-    std::size_t threads = 1, support::ExecutorRef executor = {},
-    const support::StopCriteria& stop = {},
-    CacheOutcome* cache_outcome = nullptr);
-
-/// analyze_corpus_resilient with every kernel routed through `cache`:
-/// same slot-per-kernel determinism, same report.
-kernels::CorpusReport analyze_corpus_cached(
-    BoundCache& cache, const std::vector<const kernels::KernelEntry*>& kernels,
-    const kernels::CorpusOptions& options = {});
+/// The derive step of the kernels-layer runners routed through `cache`.
+/// When `outcome` is non-null it receives how the cache satisfied the last
+/// derivation (use it for a single kernel, not a concurrent batch).
+kernels::DeriveFn cached_derive(BoundCache& cache,
+                                CacheOutcome* outcome = nullptr);
 
 }  // namespace soap::service

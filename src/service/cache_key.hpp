@@ -9,10 +9,10 @@
 // variable name, and composite operands in their stored canonical order —
 // which the structural compare() makes process-independent.
 //
-// What the key deliberately excludes: threads, executor, stop criteria,
-// and degrade_on_budget.  The determinism contract guarantees those never
-// change the derived bound — they only change who computes it and whether
-// a *budget trip* degrades it — and the cache never stores degraded
+// What the key deliberately excludes: threads, executor, and stop
+// criteria.  The determinism contract guarantees those never change the
+// derived bound — they only change who computes it and whether a *budget
+// trip* degrades it — and the cache never stores degraded
 // results, so excluding them is what makes the cache useful across
 // differently-configured clients while staying bit-identical.
 #pragma once

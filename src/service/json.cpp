@@ -74,6 +74,24 @@ std::string bound_json_fields(const sdg::MultiStatementBound& bound) {
   return out;
 }
 
+std::string program_json_fields(const ProgramAnalysis& analysis) {
+  std::string out = "\"digest\":" + json_string(analysis.key.digest.hex());
+  out += ",\"cache\":" +
+         json_string(analysis.outcome ? cache_outcome_name(*analysis.outcome)
+                                      : "off");
+  const std::optional<sdg::MultiStatementBound>& bound = analysis.bound;
+  if (!bound) {
+    return out +
+           ",\"status\":\"ok\",\"bound\":null,"
+           "\"note\":\"no non-trivial bound (unlimited reuse)\"";
+  }
+  const char* status =
+      bound->degraded ? support::status_code_name(bound->degraded_reason)
+                      : "ok";
+  return out + ",\"status\":" + json_string(status) + ',' +
+         bound_json_fields(*bound);
+}
+
 std::string outcome_json(const kernels::KernelOutcome& outcome) {
   std::string out = "{\"family\":" + json_string(outcome.family);
   out += ",\"kernel\":" + json_string(outcome.kernel);

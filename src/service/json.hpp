@@ -14,6 +14,7 @@
 #include "analysis/attainment.hpp"
 #include "kernels/table2.hpp"
 #include "sdg/multi_statement.hpp"
+#include "service/analyze.hpp"
 
 namespace soap::service {
 
@@ -29,6 +30,14 @@ std::string json_double(double v);
 ///   "subgraphs":12,"per_array":[{"array":"A","cdag_size":"...",
 ///   "rho":"...","rho_value":1.5},...]
 std::string bound_json_fields(const sdg::MultiStatementBound& bound);
+
+/// The reply to one program analysis, shared by the `analyzed` protocol
+/// and `analyze_tool --json`, as an object-body fragment (no braces):
+///   "digest":"...","cache":"miss","status":"ok",<bound_json_fields>
+/// where "cache" is "off" without a cache, and a program with no
+/// non-trivial bound carries "bound":null plus a "note" instead of the
+/// bound fields.
+std::string program_json_fields(const ProgramAnalysis& analysis);
 
 /// One corpus row: {"family":"...","kernel":"...","status":"ok",
 /// "degraded":false,"bound":"..."} — failed kernels carry "bound":null and

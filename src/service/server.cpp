@@ -1,6 +1,7 @@
 #include "service/server.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -90,17 +91,38 @@ RequestOpts parse_opts(const std::vector<std::string>& tokens,
   return opts;
 }
 
-std::uint64_t percentile_us(std::vector<std::uint64_t> sorted, int p) {
-  if (sorted.empty()) return 0;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t idx = std::min(
-      sorted.size() - 1,
-      static_cast<std::size_t>(sorted.size()) * static_cast<std::size_t>(p) /
-          100);
-  return sorted[idx];
+}  // namespace
+
+std::size_t LatencyHistogram::bucket(std::uint64_t us) {
+  if (us < kSubBuckets) return static_cast<std::size_t>(us);
+  const int shift = std::bit_width(us) - 4;  // keeps the top 4 bits
+  return static_cast<std::size_t>(shift + 1) * kSubBuckets +
+         static_cast<std::size_t>((us >> shift) & (kSubBuckets - 1));
 }
 
-}  // namespace
+std::uint64_t LatencyHistogram::upper_bound(std::size_t bucket) {
+  if (bucket < kSubBuckets) return bucket;
+  const std::size_t shift = bucket / kSubBuckets - 1;
+  const std::uint64_t top = kSubBuckets + bucket % kSubBuckets;
+  return ((top + 1) << shift) - 1;
+}
+
+void LatencyHistogram::record(std::uint64_t us) {
+  ++counts_[bucket(us)];
+  ++total_;
+}
+
+std::uint64_t LatencyHistogram::percentile(int p) const {
+  if (total_ == 0) return 0;
+  const std::uint64_t rank =
+      std::min(total_ - 1, total_ * static_cast<std::uint64_t>(p) / 100);
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    seen += counts_[b];
+    if (seen > rank) return upper_bound(b);
+  }
+  return upper_bound(counts_.size() - 1);
+}
 
 struct Server::Impl {
   std::mutex mutex;  ///< guards everything below
@@ -108,8 +130,8 @@ struct Server::Impl {
   std::size_t inflight = 0;
   std::uint64_t next_id = 0;
   std::unordered_map<std::string, support::CancellationSource> active;
-  std::vector<std::uint64_t> latencies_us;  ///< completed analyze/kernel
-  std::mutex out_mutex;                     ///< whole-line reply writes
+  LatencyHistogram latency;  ///< completed analyze/kernel requests
+  std::mutex out_mutex;      ///< whole-line reply writes
 };
 
 Server::Server(ServerOptions options)
@@ -163,25 +185,10 @@ int Server::serve(std::istream& in, std::ostream& out) {
           options.max_subgraph_size = *opts.max_subgraph_size;
         }
         if (opts.max_subgraphs) options.max_subgraphs = *opts.max_subgraphs;
-        const ProgramAnalysis analysis =
-            analyze_program_cached(*cache_, program, options);
-        reply = "{\"id\":" + json_string(opts.id);
-        reply += ",\"digest\":" + json_string(analysis.key.digest.hex());
-        reply +=
-            ",\"cache\":" + json_string(cache_outcome_name(analysis.outcome));
-        if (!analysis.bound) {
-          reply +=
-              ",\"status\":\"ok\",\"bound\":null,"
-              "\"note\":\"no non-trivial bound (unlimited reuse)\"";
-        } else {
-          const char* status =
-              analysis.bound->degraded
-                  ? support::status_code_name(analysis.bound->degraded_reason)
-                  : "ok";
-          reply += ",\"status\":" + json_string(status) + ',' +
-                   bound_json_fields(*analysis.bound);
-        }
-        reply += '}';
+        reply = "{\"id\":" + json_string(opts.id) + ',' +
+                program_json_fields(
+                    analyze_program(cache_.get(), program, options)) +
+                '}';
       } else {
         const kernels::KernelEntry* entry = nullptr;
         try {
@@ -192,9 +199,10 @@ int Server::serve(std::istream& in, std::ostream& out) {
         }
         if (entry != nullptr) {
           CacheOutcome cache_outcome = CacheOutcome::kMiss;
-          const kernels::KernelOutcome outcome = analyze_kernel_cached(
-              *cache_, *entry, options_.analysis_threads, options_.executor,
-              stop, &cache_outcome);
+          const kernels::KernelOutcome outcome =
+              kernels::analyze_kernel_checked(
+                  *entry, options_.analysis_threads, options_.executor, stop,
+                  cached_derive(*cache_, &cache_outcome));
           reply = "{\"id\":" + json_string(opts.id) + ",\"cache\":" +
                   json_string(cache_outcome_name(cache_outcome)) + ',' +
                   outcome_json(outcome).substr(1);
@@ -215,12 +223,13 @@ int Server::serve(std::istream& in, std::ostream& out) {
     reply.insert(reply.size() - 1,
                  ",\"elapsed_us\":" + std::to_string(elapsed_us));
     write_reply(reply);
-    {
-      std::lock_guard<std::mutex> lock(impl.mutex);
-      impl.active.erase(opts.id);
-      impl.latencies_us.push_back(elapsed_us);
-      --impl.inflight;
-    }
+    // Notify under the lock: once `drain` sees inflight == 0 the Server
+    // may be destroyed, so this thread must not touch `impl.cv` after
+    // releasing the mutex.
+    std::lock_guard<std::mutex> lock(impl.mutex);
+    impl.active.erase(opts.id);
+    impl.latency.record(elapsed_us);
+    --impl.inflight;
     impl.cv.notify_all();
   };
 
@@ -261,10 +270,12 @@ int Server::serve(std::istream& in, std::ostream& out) {
       }
       drain();  // the reported counters/latencies cover every prior request
       const BoundCacheStats s = cache_->stats();
-      std::vector<std::uint64_t> latencies;
+      std::uint64_t p50_us = 0;
+      std::uint64_t p99_us = 0;
       {
         std::lock_guard<std::mutex> lock(impl.mutex);
-        latencies = impl.latencies_us;
+        p50_us = impl.latency.percentile(50);
+        p99_us = impl.latency.percentile(99);
       }
       std::string reply = "{\"id\":" + json_string(opts.id);
       reply += ",\"requests\":" + std::to_string(s.requests());
@@ -275,8 +286,8 @@ int Server::serve(std::istream& in, std::ostream& out) {
       reply += ",\"entries\":" + std::to_string(s.entries);
       reply += ",\"persisted_loaded\":" + std::to_string(s.persisted_loaded);
       reply += ",\"hit_rate\":" + json_double(s.hit_rate());
-      reply += ",\"p50_us\":" + std::to_string(percentile_us(latencies, 50));
-      reply += ",\"p99_us\":" + std::to_string(percentile_us(latencies, 99));
+      reply += ",\"p50_us\":" + std::to_string(p50_us);
+      reply += ",\"p99_us\":" + std::to_string(p99_us);
       reply += '}';
       write_reply(reply);
       continue;

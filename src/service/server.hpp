@@ -28,7 +28,9 @@
 // derivation.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 
@@ -52,6 +54,27 @@ struct ServerOptions {
   /// Default per-request live-node budget (0 = unlimited); overridable per
   /// request with node-budget=N.
   std::size_t default_node_budget = 0;
+};
+
+/// Fixed-memory latency histogram behind `stats` p50/p99: log-linear
+/// buckets, exact below 8 us and 8 sub-buckets per power of two above, so
+/// a reported percentile (its bucket's upper bound) is at most 12.5% above
+/// the exact sample.
+class LatencyHistogram {
+ public:
+  void record(std::uint64_t us);
+  /// Upper bound of the bucket holding the sample of rank
+  /// min(n-1, n*p/100) in sorted order; 0 when nothing was recorded.
+  [[nodiscard]] std::uint64_t percentile(int p) const;
+
+ private:
+  static constexpr std::size_t kSubBuckets = 8;
+  static std::size_t bucket(std::uint64_t us);
+  static std::uint64_t upper_bound(std::size_t bucket);
+
+  /// Buckets 0..7 hold 0..7 exactly; then 8 per power of two up to 2^64.
+  std::array<std::uint64_t, kSubBuckets * 62> counts_{};
+  std::uint64_t total_ = 0;
 };
 
 class Server {

@@ -351,11 +351,12 @@ TEST(CachedAnalysis, KernelResultsAreBitIdenticalCacheOnAndOff) {
   const kernels::KernelOutcome plain =
       kernels::analyze_kernel_checked(entry);
   CacheOutcome outcome = CacheOutcome::kHit;
-  const kernels::KernelOutcome cold = service::analyze_kernel_cached(
-      cache, entry, 1, {}, {}, &outcome);
+  const kernels::DeriveFn derive = service::cached_derive(cache, &outcome);
+  const kernels::KernelOutcome cold =
+      kernels::analyze_kernel_checked(entry, 1, {}, {}, derive);
   EXPECT_EQ(outcome, CacheOutcome::kMiss);
-  const kernels::KernelOutcome warm = service::analyze_kernel_cached(
-      cache, entry, 1, {}, {}, &outcome);
+  const kernels::KernelOutcome warm =
+      kernels::analyze_kernel_checked(entry, 1, {}, {}, derive);
   EXPECT_EQ(outcome, CacheOutcome::kHit);
   for (const kernels::KernelOutcome* out : {&cold, &warm}) {
     EXPECT_EQ(out->status, plain.status);
@@ -374,7 +375,7 @@ TEST(CachedAnalysis, NoBoundProgramsMatchUncachedOutcomeAndStayUncached) {
   BoundCache cache;
   for (int round = 0; round < 2; ++round) {
     const service::ProgramAnalysis analysis =
-        service::analyze_program_cached(cache, program, {});
+        service::analyze_program(&cache, program, {});
     EXPECT_FALSE(analysis.bound.has_value());
     EXPECT_EQ(analysis.outcome, CacheOutcome::kMiss);
     EXPECT_EQ(cache.size(), 0u);
@@ -392,11 +393,12 @@ TEST(CachedAnalysis, CorpusReportMatchesResilientCorpus) {
   const kernels::CorpusReport plain =
       kernels::analyze_corpus_resilient(subset, {});
   BoundCache cache;
+  const kernels::DeriveFn derive = service::cached_derive(cache);
   const kernels::CorpusReport cold =
-      service::analyze_corpus_cached(cache, subset, {});
+      kernels::analyze_corpus_resilient(subset, {}, derive);
   // Second pass: everything served from cache, still identical.
   const kernels::CorpusReport warm =
-      service::analyze_corpus_cached(cache, subset, {});
+      kernels::analyze_corpus_resilient(subset, {}, derive);
   const BoundCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, subset.size());
   for (const kernels::CorpusReport* report : {&cold, &warm}) {

@@ -157,7 +157,6 @@ TEST(CacheKeyTest, ExecutionOnlyOptionsAreExcluded) {
   // what is computed, so they must share a cache entry.
   sdg::SdgOptions b = a;
   b.threads = 8;
-  b.degrade_on_budget = false;
   b.stop.deadline = support::Deadline::after_ms(1000000);
   EXPECT_EQ(make_cache_key(program, b), base);
 }

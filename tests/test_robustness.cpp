@@ -83,20 +83,6 @@ TEST(Degradation, CancellationNeverDegradesItAlwaysRaises) {
   }
 }
 
-TEST(Degradation, DegradeOffSurfacesTheTripAsAnError) {
-  const KernelEntry& k = kernels::kernel_by_name("gemm");
-  Program program = k.build();
-  sdg::SdgOptions options = k.options;
-  options.stop.deadline = support::Deadline::after_ms(0);
-  options.degrade_on_budget = false;
-  try {
-    sdg::multi_statement_bound(program, options);
-    FAIL() << "expected AnalysisError{kDeadlineExceeded}";
-  } catch (const support::AnalysisError& e) {
-    EXPECT_EQ(e.code(), support::StatusCode::kDeadlineExceeded);
-  }
-}
-
 TEST(Degradation, NoLimitsMeansNoDegradationAndTheHistoricalBound) {
   // The zero-impact contract: default StopCriteria must not perturb the
   // derivation at all.
