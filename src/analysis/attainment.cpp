@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -76,21 +77,21 @@ std::map<std::string, long long> default_params(
   return params_for(entry.build(), entry, options);
 }
 
-AttainmentRow measure_kernel(const kernels::KernelEntry& entry, long long S,
-                             const AttainmentOptions& options) {
+std::vector<AttainmentRow> measure_kernel(const kernels::KernelEntry& entry,
+                                          const AttainmentOptions& options) {
   Program program = entry.build();
-  AttainmentRow row;
-  row.kernel = entry.name;
-  row.family = entry.family;
-  row.S = S;
-  row.statements = program.statements.size();
-  row.fused = row.statements > 1;
-  row.params = params_for(program, entry, options);
+  AttainmentRow base;
+  base.kernel = entry.name;
+  base.family = entry.family;
+  base.statements = program.statements.size();
+  base.fused = base.statements > 1;
+  base.params = params_for(program, entry, options);
 
   // The corpus bound: the kernel's recorded analysis (fused subgraphs, cold
-  // bound, ... per its SdgOptions), evaluated at the concrete sizes.  Run
-  // serially: the caller already shards (kernel x cache-size) items, and a
-  // bound is derived in milliseconds next to the trace replay below.
+  // bound, ... per its SdgOptions), derived once and evaluated at the
+  // concrete sizes for every S.  Run serially: the caller already shards
+  // kernels, and a bound is derived in milliseconds next to the trace
+  // replays below.
   sdg::SdgOptions bound_options = entry.options;
   bound_options.threads = 1;
   bound_options.executor = support::ExecutorRef::serial();
@@ -99,56 +100,65 @@ AttainmentRow measure_kernel(const kernels::KernelEntry& entry, long long S,
   if (!bound) {
     throw std::runtime_error("attainment: no bound for " + entry.name);
   }
-  row.degraded = bound->degraded;
+  base.degraded = bound->degraded;
   std::map<std::string, double> env;
-  env["S"] = static_cast<double>(S);
-  for (const auto& [k, v] : row.params) env[k] = static_cast<double>(v);
-  row.Q_lb = bound->Q_leading.eval(env);
+  for (const auto& [k, v] : base.params) env[k] = static_cast<double>(v);
 
-  // The simulated side: per statement, tile with the optimizer's X0
-  // (Section 4.5) where a single-statement bound exists — statements with
-  // unbounded single-statement intensity (pure streaming passes) replay in
-  // natural order — and measure the tiled trace under LRU and Belady.
+  // Per-statement tile bounds, S-independent: statements with unbounded
+  // single-statement intensity (pure streaming passes) have none and
+  // replay in natural order.
+  std::vector<std::optional<bounds::IoLowerBound>> statement_bounds;
   for (const Statement& st : program.statements) {
-    std::map<std::string, long long> tiles;
-    if (auto sb = bounds::single_statement_bound(st)) {
-      tiles = schedule::concrete_tiles(st, *sb, S, row.params);
-    }
-    cachesim::Measurement m = cachesim::measure_statement(
-        st, row.params, tiles, static_cast<std::size_t>(S));
-    row.Q_sim_lru += m.lru.io();
-    row.Q_sim_belady += m.belady.io();
-    row.trace_length += m.trace_length;
-    row.footprint += m.footprint;
+    statement_bounds.push_back(bounds::single_statement_bound(st));
   }
-  return row;
+
+  std::vector<AttainmentRow> rows;
+  for (long long S : options.cache_sizes) {
+    AttainmentRow row = base;
+    row.S = S;
+    env["S"] = static_cast<double>(S);
+    row.Q_lb = bound->Q_leading.eval(env);
+    // The simulated side: per statement, tile with the optimizer's X0
+    // (Section 4.5) where a single-statement bound exists, and measure the
+    // tiled trace under LRU and Belady.
+    for (std::size_t i = 0; i < program.statements.size(); ++i) {
+      const Statement& st = program.statements[i];
+      std::map<std::string, long long> tiles;
+      if (statement_bounds[i]) {
+        tiles = schedule::concrete_tiles(st, *statement_bounds[i], S,
+                                         row.params);
+      }
+      cachesim::Measurement m = cachesim::measure_statement(
+          st, row.params, tiles, static_cast<std::size_t>(S));
+      row.Q_sim_lru += m.lru.io();
+      row.Q_sim_belady += m.belady.io();
+      row.trace_length += m.trace_length;
+      row.footprint += m.footprint;
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 std::vector<AttainmentRow> attainment_table(
     const std::vector<const kernels::KernelEntry*>& kernels,
     const AttainmentOptions& options) {
-  const std::size_t sweeps = options.cache_sizes.size();
   support::ParallelOptions par;
   par.threads = options.threads;
   par.executor = options.executor;
-  // (kernel x cache-size) work items, kernel-major.  Each row is a pure
-  // function of (kernel, S, options) collected into its own slot, so the
+  // One work item per kernel, each a pure function of (kernel, options)
+  // collected into its own slot and concatenated in kernel order, so the
   // table is bit-identical for every thread count and executor.
-  return support::parallel_map<AttainmentRow>(
-      kernels.size() * sweeps, par, [&](std::size_t item) {
-        const kernels::KernelEntry& entry = *kernels[item / sweeps];
-        long long S = options.cache_sizes[item % sweeps];
-        return measure_kernel(entry, S, options);
-      });
-}
-
-std::vector<AttainmentRow> attainment_table(const AttainmentOptions& options) {
-  std::vector<const kernels::KernelEntry*> all;
-  for (const kernels::KernelEntry& k :
-       kernels::Registry::instance().kernels()) {
-    all.push_back(&k);
+  const std::vector<std::vector<AttainmentRow>> per_kernel =
+      support::parallel_map<std::vector<AttainmentRow>>(
+          kernels.size(), par, [&](std::size_t k) {
+            return measure_kernel(*kernels[k], options);
+          });
+  std::vector<AttainmentRow> rows;
+  for (const std::vector<AttainmentRow>& kernel_rows : per_kernel) {
+    rows.insert(rows.end(), kernel_rows.begin(), kernel_rows.end());
   }
-  return attainment_table(all, options);
+  return rows;
 }
 
 std::string format_attainment_table(const std::vector<AttainmentRow>& rows) {

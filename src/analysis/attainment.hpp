@@ -27,10 +27,11 @@
 // exists.  Rows carry an explicit bound/sim scope marker ("fused/stmt") so
 // this comparison is visible rather than silently wrong.
 //
-// Determinism.  Rows are pure functions of (kernel, S, options): the
-// (kernel x cache-size) work items shard over the PR-4 ExecutorRef seam
-// with slot-per-item collection, so the table is bit-identical for every
-// thread count, executor, and schedule (enforced by test_attainment.cpp).
+// Determinism.  A kernel's rows are a pure function of (kernel, options):
+// the kernels shard over the ExecutorRef seam with slot-per-kernel
+// collection, concatenated in kernel order, so the table is bit-identical
+// for every thread count, executor, and schedule (enforced by
+// test_attainment.cpp).
 #pragma once
 
 #include <cstddef>
@@ -54,17 +55,17 @@ struct AttainmentOptions {
   /// extents: deeper nests get smaller per-dimension extents so every
   /// kernel's trace stays simulable.
   std::size_t iteration_budget = 20000;
-  /// Worker budget for the (kernel x cache-size) batch, SdgOptions::threads
-  /// semantics (1 = serial, 0 = hardware); the table is bit-identical for
-  /// every value.
+  /// Worker budget for the per-kernel batch, SdgOptions::threads semantics
+  /// (1 = serial, 0 = hardware); the table is bit-identical for every
+  /// value.
   std::size_t threads = 1;
   /// Where helper workers run (default: the process-global pool).
   support::ExecutorRef executor;
-  /// Termination criteria for the bound derivation inside each row
-  /// (deadline/budget trips degrade the row to the per-statement bound and
-  /// set AttainmentRow::degraded; cancellation raises
-  /// AnalysisError{kCancelled}).  Default: unlimited — the 86 golden rows
-  /// stay bit-identical.
+  /// Termination criteria for each kernel's bound derivation (a
+  /// deadline/budget trip degrades the kernel's bound to the per-statement
+  /// fallback and sets AttainmentRow::degraded on all of its S rows
+  /// together; cancellation raises AnalysisError{kCancelled}).  Default:
+  /// unlimited — the 86 golden rows stay bit-identical.
   support::StopCriteria stop;
 };
 
@@ -118,25 +119,22 @@ struct AttainmentRow {
 std::map<std::string, long long> default_params(
     const kernels::KernelEntry& entry, const AttainmentOptions& options = {});
 
-/// Measures one kernel at one cache size: derive the corpus bound with the
-/// kernel's recorded SdgOptions, tile each statement with
-/// schedule::concrete_tiles from its single-statement bound, replay the
-/// tiled trace through the LRU and Belady simulators.  Pure function of
-/// (entry, S, options).
-AttainmentRow measure_kernel(const kernels::KernelEntry& entry, long long S,
-                             const AttainmentOptions& options = {});
+/// Measures one kernel at every `options.cache_sizes` entry, one row each in
+/// that order.  The kernel's corpus bound (its recorded SdgOptions) and each
+/// statement's single-statement bound are derived once; per S the corpus
+/// bound is evaluated, each statement is tiled with schedule::concrete_tiles
+/// and its trace replayed through the LRU and Belady simulators.  Pure
+/// function of (entry, options).
+std::vector<AttainmentRow> measure_kernel(
+    const kernels::KernelEntry& entry, const AttainmentOptions& options = {});
 
 /// The attainment table for an explicit kernel subset: one row per
-/// (kernel, cache size), kernel-major in the given order.  Work items
-/// shard across `options.threads` workers on `options.executor` with
-/// slot-per-item determinism — bit-identical output for every thread
+/// (kernel, cache size), kernel-major in the given order.  Kernels shard
+/// across `options.threads` workers on `options.executor` with
+/// slot-per-kernel determinism — bit-identical output for every thread
 /// count and executor.
 std::vector<AttainmentRow> attainment_table(
     const std::vector<const kernels::KernelEntry*>& kernels,
-    const AttainmentOptions& options = {});
-
-/// The full-registry attainment table (every family, registry order).
-std::vector<AttainmentRow> attainment_table(
     const AttainmentOptions& options = {});
 
 /// Renders rows as the corpus-wide text table (header + one line per row +

@@ -9,9 +9,7 @@
 namespace soap::bounds::opt {
 
 /// nlopt-style classification of one numeric solve, replacing the
-/// historical bool/throw mix.  Ordered by severity: `worst()` below keeps
-/// the higher value, so a derivation that runs several solves reports its
-/// least healthy one.
+/// historical bool/throw mix.  Ordered by severity, least severe first.
 enum class ResultCode : std::uint8_t {
   /// The search met its convergence tolerance and the optimum is a finite
   /// positive objective at a feasible point.
@@ -33,12 +31,6 @@ enum class ResultCode : std::uint8_t {
 
 /// Stable machine-readable name ("success", "stop_reached", ...).
 [[nodiscard]] const char* result_code_name(ResultCode code) noexcept;
-
-/// The smaller code wins on health: kSuccess < kStopReached < kNoConverge
-/// < kInfeasible.  Used to fold several solves into one ChiForm code.
-[[nodiscard]] constexpr ResultCode worst(ResultCode a, ResultCode b) noexcept {
-  return a < b ? b : a;
-}
 
 /// The shipped backends, chosen only through sdg::SdgOptions::optimizer
 /// (which the service cache key digests).  All backends agree on the

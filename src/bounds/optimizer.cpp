@@ -294,24 +294,18 @@ std::optional<ChiForm> derive_chi(const OptimizationProblem& problem,
     form.exponents[problem.vars[i]] = exponents[i];
   }
 
-  // --- numeric constant fit (seeded at the LP exponents) ---
-  const double x_lo = 1e9, x_hi = 1e12;
-  auto lp_seed = [&](double X) {
-    std::vector<double> seed(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      seed[i] = exponents[i].to_double() * std::log(X);
-    }
-    return seed;
-  };
-  opt::SolveResult lo_result =
-      solve_through(be, problem, x_lo, {lp_seed(x_lo)}, &guard);
-  opt::SolveResult hi_result =
-      solve_through(be, problem, x_hi, {lp_seed(x_hi)}, &guard);
-  form.solve_code = opt::worst(lo_result.code, hi_result.code);
-  const NumericOptimum& lo = lo_result.optimum;
-  const NumericOptimum& hi = hi_result.optimum;
-  if (!std::isfinite(lo.chi) || !std::isfinite(hi.chi) || lo.chi <= 0.0 ||
-      hi.chi <= 0.0) {
+  // --- numeric constant fit: one solve at a large budget, seeded at the LP
+  // exponents (alpha is exact, so only c = chi(X) / X^alpha is numeric) ---
+  const double X = 1e12;
+  std::vector<double> seed(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    seed[i] = exponents[i].to_double() * std::log(X);
+  }
+  const opt::SolveResult result =
+      solve_through(be, problem, X, {std::move(seed)}, &guard);
+  form.solve_code = result.code;
+  const NumericOptimum& best = result.optimum;
+  if (!std::isfinite(best.chi) || best.chi <= 0.0) {
     // The LP promised a bounded exponent but the numeric fit found no
     // finite positive chi: surface it as a structured failure instead of
     // letting NaNs flow into the symbolic bound.
@@ -321,16 +315,11 @@ std::optional<ChiForm> derive_chi(const OptimizationProblem& problem,
             std::string(be.name()) +
             ", code=" + opt::result_code_name(form.solve_code) + ")");
   }
-  double alpha_lp = form.alpha.to_double();
-  double alpha_fit =
-      (std::log(hi.chi) - std::log(lo.chi)) / (std::log(x_hi) - std::log(x_lo));
-  form.fit_residual = std::fabs(alpha_fit - alpha_lp);
-  double c_num = hi.chi / std::pow(x_hi, alpha_lp);
-  form.coefficient_num = c_num;
+  const double c_num = best.chi / std::pow(X, form.alpha.to_double());
   for (std::size_t i = 0; i < n; ++i) {
     const std::string& v = problem.vars[i];
     form.tile_coeffs[v] =
-        hi.tiles.at(v) / std::pow(x_hi, exponents[i].to_double());
+        best.tiles.at(v) / std::pow(X, exponents[i].to_double());
   }
 
   // --- asymptotic GP refinement: machine-precision constant when the

@@ -10,17 +10,17 @@
 //
 // Strategy (see docs/OPTIMIZER.md): the *exponent* alpha of
 // chi(X) = c * X^alpha is obtained exactly from a rational LP over the
-// dominant monomials of the access terms.  The *constant* c is fitted by a
-// numeric backend (bounds/opt) at two budgets: log-space Nelder-Mead over
-// the exact feasibility projection, seeded at the LP solution, then KKT
-// polish.  The multistart and subplex backends optimize the same projection
-// and serve the differential suite as oracles.  Every constraint term is
-// evaluated by the O(n) AccessSizeFold (access_size.hpp).  When the problem
-// has pure-monomial structure, an asymptotic geometric program refines c to
-// machine precision.  c is then snapped to an exact value by rationalizing
-// c^q (q = den(alpha)), which recovers radicals such as
-// (1/27)^(1/2) = sqrt(3)/9 for matrix multiplication.  The LP and the
-// numeric fit cross-check each other; disagreement is an error.
+// dominant monomials of the access terms.  The *constant* c is fitted by one
+// numeric solve (bounds/opt) at X = 1e12: log-space Nelder-Mead over the
+// exact feasibility projection, seeded at the LP solution, then KKT polish.
+// The multistart and subplex backends optimize the same projection and
+// serve the differential suite as oracles; that suite also checks that each
+// backend's chi tracks the LP slope alpha between two budgets.  Every
+// constraint term is evaluated by the O(n) AccessSizeFold (access_size.hpp).
+// When the problem has pure-monomial structure, an asymptotic geometric
+// program refines c to machine precision.  c is then snapped to an exact
+// value by rationalizing c^q (q = den(alpha)), which recovers radicals such
+// as (1/27)^(1/2) = sqrt(3)/9 for matrix multiplication.
 #pragma once
 
 #include <map>
@@ -77,12 +77,10 @@ struct ChiForm {
   bool coefficient_exact = false;      ///< snap succeeded
   std::map<std::string, Rational> exponents;  ///< a_v: x_v ~ X^{a_v}
   std::map<std::string, double> tile_coeffs;  ///< kappa_v: x_v ~ kappa_v X^{a_v}
-  double fit_residual = 0.0;           ///< |log chi - (log c + alpha log X)|
-  /// Least healthy backend result across the constant-fit solves.  Before
-  /// the backend interface, a solve that exhausted its iterations without
-  /// meeting tolerance silently fell through to the LP-seeded point; now it
-  /// is recorded here as kNoConverge (the fit still uses the best point
-  /// found — only a non-finite chi is a hard error).
+  /// Backend result of the constant-fit solve.  A solve that exhausts its
+  /// iterations without meeting tolerance is recorded here as kNoConverge
+  /// (the fit still uses the best point found — only a non-finite chi is a
+  /// hard error).
   opt::ResultCode solve_code = opt::ResultCode::kSuccess;
 };
 

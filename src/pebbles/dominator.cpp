@@ -11,11 +11,6 @@ long long min_dominator_size(const Cdag& cdag,
   return graph::min_vertex_cut(cdag.graph(), cdag.inputs(), H);
 }
 
-std::vector<std::size_t> min_dominator_set(const Cdag& cdag,
-                                           const std::vector<std::size_t>& H) {
-  return graph::min_vertex_cut_set(cdag.graph(), cdag.inputs(), H);
-}
-
 std::vector<std::size_t> minimum_set(const Cdag& cdag,
                                      const std::vector<std::size_t>& H) {
   std::vector<bool> in_h(cdag.size(), false);

@@ -12,10 +12,6 @@ namespace soap::pebbles {
 long long min_dominator_size(const Cdag& cdag,
                              const std::vector<std::size_t>& H);
 
-/// A minimum dominator set itself.
-std::vector<std::size_t> min_dominator_set(const Cdag& cdag,
-                                           const std::vector<std::size_t>& H);
-
 /// Min(H): vertices of H with no child inside H.
 std::vector<std::size_t> minimum_set(const Cdag& cdag,
                                      const std::vector<std::size_t>& H);

@@ -26,10 +26,45 @@ namespace soap::service {
 
 namespace {
 
-/// Largest `analyze` body the daemon buffers.  A longer body is read through
-/// to its `end` line, so the stream stays in sync, and then answered with
-/// invalid_input: no client can grow server memory without limit.
+/// Largest `analyze` body, and largest single input line, the daemon
+/// buffers.  A longer body is read through to its `end` line and a longer
+/// line through its newline, so the stream stays in sync, and then answered
+/// with invalid_input: no client can grow server memory without limit.
 constexpr std::size_t kMaxBodyBytes = std::size_t{1} << 20;
+
+/// Reads one line, without its newline or a trailing '\r', in bulk chunks;
+/// false at end of input.  A line longer than kMaxBodyBytes is read through
+/// its newline but not kept: `line` comes back empty and `too_long` set.
+bool read_line(std::istream& in, std::string& line, bool& too_long) {
+  line.clear();
+  too_long = false;
+  bool any = false;
+  char chunk[4096];
+  for (;;) {
+    in.getline(chunk, sizeof chunk);
+    auto got = static_cast<std::size_t>(in.gcount());
+    any = any || got > 0;
+    const bool ended = in.good();  // the newline, counted in gcount
+    if (ended) --got;
+    too_long = too_long || line.size() + got > kMaxBodyBytes;
+    if (!too_long) line.append(chunk, got);
+    if (ended || in.eof() || in.bad()) break;
+    in.clear();  // the chunk filled before the newline: read on
+  }
+  if (too_long) std::string().swap(line);
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return any;
+}
+
+/// `token` cut to 64 bytes (on a UTF-8 boundary) for an error message.
+std::string clip(const std::string& token) {
+  std::size_t cut = 64;
+  if (token.size() <= cut) return token;
+  while (cut > 0 && (static_cast<unsigned char>(token[cut]) & 0xC0) == 0x80) {
+    --cut;
+  }
+  return token.substr(0, cut) + "...";
+}
 
 std::vector<std::string> tokenize(const std::string& line) {
   std::vector<std::string> tokens;
@@ -61,7 +96,7 @@ RequestOpts parse_opts(const std::vector<std::string>& tokens,
     const std::string& token = tokens[i];
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos || eq == 0) {
-      opts.error = "malformed option '" + token + "' (want k=v)";
+      opts.error = "malformed option '" + clip(token) + "' (want k=v)";
       return opts;
     }
     const std::string key = token.substr(0, eq);
@@ -72,7 +107,8 @@ RequestOpts parse_opts(const std::vector<std::string>& tokens,
     }
     const std::optional<std::size_t> n = support::parse_size_t(value);
     if (!n) {
-      opts.error = "invalid value for " + key + ": '" + value + "'";
+      opts.error =
+          "invalid value for " + clip(key) + ": '" + clip(value) + "'";
       return opts;
     }
     if (key == "timeout-ms") {
@@ -84,7 +120,7 @@ RequestOpts parse_opts(const std::vector<std::string>& tokens,
     } else if (program_mode && key == "max-subgraphs") {
       opts.max_subgraphs = *n;
     } else {
-      opts.error = "unknown option '" + key + "'";
+      opts.error = "unknown option '" + clip(key) + "'";
       return opts;
     }
   }
@@ -195,7 +231,7 @@ int Server::serve(std::istream& in, std::ostream& out) {
           entry = &kernels::kernel_by_name(kernel_name);
         } catch (const std::out_of_range&) {
           reply = error_reply(opts.id, "invalid_input",
-                              "unknown kernel '" + kernel_name + "'");
+                              "unknown kernel '" + clip(kernel_name) + "'");
         }
         if (entry != nullptr) {
           CacheOutcome cache_outcome = CacheOutcome::kMiss;
@@ -234,8 +270,14 @@ int Server::serve(std::istream& in, std::ostream& out) {
   };
 
   std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  bool too_long = false;
+  while (read_line(in, line, too_long)) {
+    if (too_long) {
+      write_reply(error_reply("", "invalid_input",
+                              "request line exceeds " +
+                                  std::to_string(kMaxBodyBytes) + " bytes"));
+      continue;
+    }
     const std::vector<std::string> tokens = tokenize(line);
     if (tokens.empty()) continue;
     const std::string& cmd = tokens[0];
@@ -297,7 +339,7 @@ int Server::serve(std::istream& in, std::ostream& out) {
     const bool is_kernel = cmd == "kernel";
     if (!is_analyze && !is_kernel) {
       write_reply(error_reply("", "invalid_input",
-                              "unknown command '" + cmd + "'"));
+                              "unknown command '" + clip(cmd) + "'"));
       continue;
     }
     if (is_kernel && tokens.size() < 2) {
@@ -318,19 +360,15 @@ int Server::serve(std::istream& in, std::ostream& out) {
       bool terminated = false;
       bool oversized = false;
       std::string body_line;
-      while (std::getline(in, body_line)) {
-        if (!body_line.empty() && body_line.back() == '\r') {
-          body_line.pop_back();
-        }
+      while (read_line(in, body_line, too_long)) {
         if (body_line == "end") {
           terminated = true;
           break;
         }
-        if (oversized) continue;
-        if (body.size() + body_line.size() + 1 > kMaxBodyBytes) {
-          oversized = true;
-          body.clear();
-          body.shrink_to_fit();
+        oversized = oversized || too_long ||
+                    body.size() + body_line.size() + 1 > kMaxBodyBytes;
+        if (oversized) {
+          std::string().swap(body);
           continue;
         }
         body += body_line;
@@ -364,7 +402,7 @@ int Server::serve(std::istream& in, std::ostream& out) {
         const std::string id = opts.id;
         lock.unlock();
         write_reply(error_reply(id, "invalid_input",
-                                "duplicate in-flight id '" + id + "'"));
+                                "duplicate in-flight id '" + clip(id) + "'"));
         continue;
       }
       const std::size_t slots =

@@ -38,11 +38,6 @@ class Domain {
   /// N^3/3 - N^2/2 + N/6.
   [[nodiscard]] sym::Polynomial cardinality() const;
 
-  /// |D| as a symbolic expression.
-  [[nodiscard]] sym::Expr cardinality_expr() const {
-    return cardinality().to_expr();
-  }
-
   [[nodiscard]] std::string str() const;
 
  private:

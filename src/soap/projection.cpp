@@ -78,14 +78,4 @@ bool needs_version_dimension(const Statement& st) {
   return false;
 }
 
-Program project_to_soap(const Program& program) {
-  Program out;
-  out.array_size_hint = program.array_size_hint;
-  out.statements.reserve(program.statements.size());
-  for (const Statement& st : program.statements) {
-    out.statements.push_back(split_disjoint_accesses(st));
-  }
-  return out;
-}
-
 }  // namespace soap

@@ -22,7 +22,4 @@ Statement split_disjoint_accesses(const Statement& st);
 /// versions as separate vertices.
 bool needs_version_dimension(const Statement& st);
 
-/// Applies split_disjoint_accesses to every statement of the program.
-Program project_to_soap(const Program& program);
-
 }  // namespace soap

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/attainment.hpp"
@@ -88,11 +89,24 @@ TEST(AttainmentSoundness, BeladyNeverBeatsTheBoundAcrossTheCorpus) {
 // --- Golden rows -----------------------------------------------------------
 
 TEST(AttainmentGolden, RecordedRatiosStillHold) {
+  // Each golden kernel is measured once, at all of its golden S values.
   const kernels::Registry& registry = kernels::Registry::instance();
+  std::map<std::string, AttainmentOptions> per_kernel;
   for (const soap::testing::AttainmentGoldenRow& golden :
        soap::testing::attainment_golden_rows()) {
-    AttainmentRow row =
-        measure_kernel(registry.at(golden.name), golden.S, {});
+    auto [it, fresh] = per_kernel.try_emplace(golden.name);
+    if (fresh) it->second.cache_sizes.clear();
+    it->second.cache_sizes.push_back(golden.S);
+  }
+  std::map<std::pair<std::string, long long>, AttainmentRow> measured;
+  for (const auto& [name, options] : per_kernel) {
+    for (AttainmentRow& row : measure_kernel(registry.at(name), options)) {
+      measured[{name, row.S}] = std::move(row);
+    }
+  }
+  for (const soap::testing::AttainmentGoldenRow& golden :
+       soap::testing::attainment_golden_rows()) {
+    const AttainmentRow& row = measured.at({golden.name, golden.S});
     EXPECT_NEAR(row.Q_lb, golden.q_lb, 1.0) << golden.name;
     EXPECT_GE(row.ratio(), golden.ratio_lo) << golden.name;
     EXPECT_LE(row.ratio(), golden.ratio_hi) << golden.name;

@@ -214,13 +214,6 @@ TEST(ResultCodes, NamesSeverityAndParsing) {
                "stop_reached");
   EXPECT_STREQ(opt::result_code_name(ResultCode::kNoConverge), "no_converge");
   EXPECT_STREQ(opt::result_code_name(ResultCode::kInfeasible), "infeasible");
-  // worst() keeps the more severe code regardless of argument order.
-  EXPECT_EQ(opt::worst(ResultCode::kSuccess, ResultCode::kNoConverge),
-            ResultCode::kNoConverge);
-  EXPECT_EQ(opt::worst(ResultCode::kInfeasible, ResultCode::kStopReached),
-            ResultCode::kInfeasible);
-  EXPECT_EQ(opt::worst(ResultCode::kSuccess, ResultCode::kSuccess),
-            ResultCode::kSuccess);
   // Every backend reports the display name its kind maps to.
   for (opt::BackendKind kind :
        {opt::BackendKind::kNelderMead, opt::BackendKind::kMultistart,

@@ -183,7 +183,10 @@ TEST(Attainment, DegradedRowsStillSatisfyTheSoundnessInvariant) {
   analysis::AttainmentOptions options;
   options.cache_sizes = {96};
   options.stop.deadline = support::Deadline::after_ms(0);
-  analysis::AttainmentRow row = analysis::measure_kernel(k, 96, options);
+  const std::vector<analysis::AttainmentRow> rows =
+      analysis::measure_kernel(k, options);
+  ASSERT_EQ(rows.size(), 1u);
+  const analysis::AttainmentRow& row = rows[0];
   EXPECT_TRUE(row.degraded);
   EXPECT_TRUE(row.sound()) << "Q_lb=" << row.Q_lb
                            << " Q_sim_belady=" << row.Q_sim_belady;
@@ -197,7 +200,10 @@ TEST(Attainment, DegradedRowsStillSatisfyTheSoundnessInvariant) {
   // And without limits the same row comes out clean.
   analysis::AttainmentOptions unlimited;
   unlimited.cache_sizes = {96};
-  analysis::AttainmentRow clean = analysis::measure_kernel(k, 96, unlimited);
+  const std::vector<analysis::AttainmentRow> clean_rows =
+      analysis::measure_kernel(k, unlimited);
+  ASSERT_EQ(clean_rows.size(), 1u);
+  const analysis::AttainmentRow& clean = clean_rows[0];
   EXPECT_FALSE(clean.degraded);
   EXPECT_TRUE(clean.sound());
 }

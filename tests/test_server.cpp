@@ -1,9 +1,9 @@
 // The `analyzed` protocol (docs/SERVING.md) driven in-process through
 // service::Server::serve over string streams: pinned reply bytes (with the
 // timing field stripped), cache hit/miss progression, the no-bound note,
-// the body size cap, EOF and unknown-command errors, duplicate in-flight
-// ids, stats accounting, and a concurrent request mix with a cancel (the
-// suite is labeled `parallel`, so the TSan job runs it).  Also the
+// the body and line size caps, EOF and unknown-command errors, duplicate
+// in-flight ids, stats accounting, and a concurrent request mix with a
+// cancel (the suite is labeled `parallel`, so the TSan job runs it).  Also the
 // fixed-memory latency histogram behind `stats` p50/p99.
 #include <gtest/gtest.h>
 
@@ -149,6 +149,30 @@ TEST(ServerProtocol, UnknownCommandIsRejected) {
   EXPECT_EQ(replies[0],
             "{\"id\":\"\",\"status\":\"invalid_input\",\"error\":"
             "\"unknown command 'bogus'\"}");
+}
+
+TEST(ServerProtocol, OverlongLinesGetShortRepliesAndTheStreamStaysInSync) {
+  Server server(serial_options());
+  // A 2 MiB command line is dropped unbuffered; a 512 KiB one is buffered
+  // but its echo is clipped.  Both replies stay small and the next request
+  // is still served.
+  const std::string input = std::string(std::size_t{2} << 20, 'x') + "\n" +
+                            std::string(std::size_t{512} << 10, 'y') +
+                            " 1\nkernel gemm id=after\n";
+  const auto replies = serve(server, input);
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_LT(replies[0].size(), 1024u);
+  EXPECT_EQ(replies[0],
+            "{\"id\":\"\",\"status\":\"invalid_input\",\"error\":"
+            "\"request line exceeds 1048576 bytes\"}");
+  EXPECT_LT(replies[1].size(), 1024u);
+  EXPECT_EQ(replies[1],
+            "{\"id\":\"\",\"status\":\"invalid_input\",\"error\":"
+            "\"unknown command '" +
+                std::string(64, 'y') + "...'\"}");
+  EXPECT_EQ(replies[2].rfind("{\"id\":\"after\",\"cache\":\"miss\"", 0), 0u)
+      << replies[2].substr(0, 200);
+  EXPECT_NE(replies[2].find("\"status\":\"ok\""), std::string::npos);
 }
 
 /// Holds every submitted task until the input runs dry, then runs them on
