@@ -63,7 +63,8 @@ void BM_TiledTraceSim(benchmark::State& state, const std::string& name,
 int main(int argc, char** argv) {
   for (const char* name :
        {"gemm", "cholesky", "jacobi2d", "heat3d", "fdtd2d", "atax",
-        "gemver", "conv", "bert_encoder", "lulesh"}) {
+        "gemver", "conv", "bert_encoder", "lulesh", "flash_attention",
+        "horizontal_diffusion"}) {
     benchmark::RegisterBenchmark(("BM_Analyze/" + std::string(name)).c_str(),
                                  BM_AnalyzeKernel, std::string(name));
   }

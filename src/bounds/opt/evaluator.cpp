@@ -8,8 +8,8 @@
 namespace soap::bounds::opt {
 
 void EvalGuard::tick() {
-  if (stop == nullptr) return;
   ++ticks;
+  if (stop == nullptr) return;
   const std::size_t cap = stop->budget.max_solver_evals;
   if (cap != 0 && ticks > cap) {
     throw support::AnalysisError(

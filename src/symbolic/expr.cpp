@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "support/arena.hpp"
 #include "support/cancel.hpp"
 
 namespace soap::sym {
@@ -83,8 +82,7 @@ bool content_equal(const Node& a, const Node& b) {
 }
 
 /// The hash-consing table, sharded by the content hash: each shard owns a
-/// reader/writer lock, its slice of the weak bucket map, and an arena that
-/// pools the node storage *and* the shared_ptr control blocks.  Read-mostly
+/// reader/writer lock and its slice of the weak bucket map.  Read-mostly
 /// lookups (re-interning an existing canonical form) take the shared lock;
 /// only first-time insertions and evictions take the exclusive lock, so
 /// concurrent make_* calls from different threads stop serializing on one
@@ -92,20 +90,16 @@ bool content_equal(const Node& a, const Node& b) {
 ///
 /// Entries are weak: a node is evicted by its deleter when the last Expr
 /// referencing it dies, so each shard never grows beyond the live working
-/// set (the arenas recycle the freed slots).  Buckets are keyed by the
-/// content hash and hold (raw pointer, weak_ptr) pairs; the raw pointer lets
-/// the deleter erase exactly its own entry even if an equal-content node was
-/// re-interned while this one was dying.
+/// set.  Buckets are keyed by the content hash and hold (raw pointer,
+/// weak_ptr) pairs; the raw pointer lets the deleter erase exactly its own
+/// entry even if an equal-content node was re-interned while this one was
+/// dying.
 struct InternShard {
   std::shared_mutex mu;
   std::unordered_map<std::size_t,
                      std::vector<std::pair<const Node*,
                                            std::weak_ptr<const Node>>>>
       buckets;
-  // Leaf lock discipline: the arena's internal mutex may be taken while
-  // holding `mu` (control-block allocation during insertion) but never the
-  // other way around, and node destruction runs with no locks held.
-  support::Arena arena;
 };
 
 constexpr std::size_t kShardBits = 6;
@@ -119,7 +113,7 @@ struct ExprInternTable {
 // Leaked on purpose: Exprs held in static storage (test fixtures, golden
 // rows) may be destroyed after any static table would be, and their deleters
 // must still find the table.  The pointer stays reachable, so LeakSanitizer
-// does not flag it (the shard arenas leak with it, equally reachable).
+// does not flag it.
 ExprInternTable& expr_table() {
   static auto* t = new ExprInternTable();
   return *t;
@@ -147,7 +141,7 @@ struct NodeDeleter {
       t_interning = nullptr;
       return;
     }
-    const std::size_t hash = n->hash;  // survives ~Node below
+    const std::size_t hash = n->hash;  // survives the delete below
     InternShard& sh = shard_for(hash);
     {
       std::unique_lock<std::shared_mutex> lock(sh.mu);
@@ -165,9 +159,7 @@ struct NodeDeleter {
     }
     // Outside the lock: destroying operands may recursively run deleters
     // (each taking its own shard lock, never nested under ours).
-    auto* m = const_cast<Node*>(n);
-    m->~Node();
-    sh.arena.deallocate(m, sizeof(Node), alignof(Node));
+    delete n;
   }
 };
 
@@ -244,25 +236,22 @@ NodePtr intern_node(Node&& n) {
     }
   }
   n.id = expr_table().next_id.fetch_add(1, std::memory_order_relaxed);
-  void* slot = nullptr;
+  const Node* p = nullptr;
   try {
     // Reserving the bucket slot up front makes the publish step below
     // nofail: once the shared_ptr owns the node, nothing on this path can
     // throw while we still hold the lock its deleter would need.
     vec.reserve(vec.size() + 1);
-    slot = sh.arena.allocate(sizeof(Node), alignof(Node));
+    p = new Node(std::move(n));
   } catch (...) {
     if (vec.empty()) sh.buckets.erase(n.hash);
     throw;  // out of memory before the node existed; table unchanged
   }
-  const Node* p = new (slot) Node(std::move(n));
   NodePtr sp;
   t_interning = p;
   try {
-    // The control block is pooled in the same shard arena (leaf lock, see
-    // InternShard); the custom deleter runs the eviction protocol above.
-    sp = NodePtr(p, NodeDeleter{},
-                 support::ArenaAllocator<const Node>(&sh.arena));
+    // The custom deleter runs the eviction protocol above.
+    sp = NodePtr(p, NodeDeleter{});
   } catch (...) {
     // Control-block allocation failed.  The shared_ptr constructor already
     // invoked the deleter, which parked the never-published node (see
@@ -271,9 +260,7 @@ NodePtr intern_node(Node&& n) {
     t_interning = nullptr;
     if (vec.empty()) sh.buckets.erase(n.hash);
     lock.unlock();
-    auto* m = const_cast<Node*>(p);
-    m->~Node();
-    sh.arena.deallocate(m, sizeof(Node), alignof(Node));
+    delete p;
     throw;
   }
   t_interning = nullptr;
@@ -1279,13 +1266,9 @@ bool numerically_equal(const Expr& a, const Expr& b, double tol) {
 InternStats expr_intern_stats() {
   ExprInternTable& t = expr_table();
   InternStats stats;
-  stats.shards = kNumShards;
   for (InternShard& sh : t.shards) {
     std::shared_lock<std::shared_mutex> lock(sh.mu);
     for (const auto& [hash, vec] : sh.buckets) stats.live_nodes += vec.size();
-    support::Arena::Stats as = sh.arena.stats();
-    stats.arena_blocks += as.blocks;
-    stats.arena_bytes += as.bytes_reserved;
   }
   stats.total_interned =
       t.next_id.load(std::memory_order_relaxed) - 1;

@@ -21,13 +21,14 @@
 //     different derivations compare equal (used heavily by the golden tests
 //     against Table 2).
 //   * Nodes are *hash-consed*: a sharded, thread-safe intern table (64
-//     buckets of the cached node hash, each with its own reader/writer lock
-//     and arena-backed node pool — see expr.cpp and docs/ARCHITECTURE.md)
-//     guarantees that structurally equal nodes are the same Node object.
-//     operator== is therefore pointer identity, hash() is an O(1) cached
-//     value, and every node carries a cached set of the symbols occurring
-//     beneath it, so contains()/symbols() never walk the tree.  Symbol names
-//     live in the soap::SymId interner (support/interner.hpp).
+//     buckets of the cached node hash, each with its own reader/writer lock;
+//     nodes and their shared_ptr control blocks come from the global
+//     allocator — see expr.cpp and docs/ARCHITECTURE.md) guarantees that
+//     structurally equal nodes are the same Node object.  operator== is
+//     therefore pointer identity, hash() is an O(1) cached value, and every
+//     node carries a cached set of the symbols occurring beneath it, so
+//     contains()/symbols() never walk the tree.  Symbol names live in the
+//     soap::SymId interner (support/interner.hpp).
 //   * Operand lists are stored inline for the common small arities
 //     (support::SmallVec, inline capacity 4) and exposed as read-only spans;
 //     `make_add`/`make_mul` are the batch canonicalization entry points —
@@ -250,9 +251,6 @@ bool numerically_equal(const Expr& a, const Expr& b, double tol = 1e-7);
 struct InternStats {
   std::size_t live_nodes = 0;   ///< nodes currently interned (all shards)
   std::uint64_t total_interned = 0;  ///< ids handed out since process start
-  std::size_t shards = 0;       ///< intern-table shard count
-  std::size_t arena_blocks = 0;      ///< bump blocks owned by shard arenas
-  std::size_t arena_bytes = 0;  ///< bytes reserved in those blocks
 };
 InternStats expr_intern_stats();
 

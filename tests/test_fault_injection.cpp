@@ -1,9 +1,9 @@
 // The deterministic fault-injection harness (tests/support/fault_executor.*)
-// and the arena allocation-failure hook: seeded fault decisions replay
-// identically, parallel_for stays correct under delays/drops — including a
-// plan that drops every helper — and an injected allocation failure inside
-// the intern path unwinds cleanly.  Labeled `parallel` so the TSan CI job runs
-// the whole suite under the race detector.
+// and allocation failures inside the intern path: seeded fault decisions
+// replay identically, parallel_for stays correct under delays/drops —
+// including a plan that drops every helper — and an allocation that fails
+// anywhere in an intern unwinds cleanly.  Labeled `parallel` so the TSan CI
+// job runs the whole suite under the race detector.
 #include "fault_executor.hpp"
 
 #include <gtest/gtest.h>
@@ -11,18 +11,94 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdlib>
 #include <new>
 #include <numeric>
 #include <string>
 #include <vector>
 
-#include "support/arena.hpp"
+#include "support/interner.hpp"
 #include "support/parallel.hpp"
 #include "support/thread_pool.hpp"
 #include "symbolic/expr.hpp"
 
+// --- test-only global allocator: fails one allocation on demand ---
+//
+// This binary replaces the global operator new/delete.  `g_alloc_countdown`
+// is one process-wide countdown: when armed with n, the n-th allocation made
+// inside an AllocFailureScope (on any thread) throws std::bad_alloc, and the
+// countdown disarms.  Allocations outside a scope — gtest, the ThreadPool
+// queue — are never counted, so only the code under test sees a failure.
+namespace {
+
+std::atomic<long long> g_alloc_countdown{-1};  // < 0: disarmed
+thread_local int t_alloc_scope_depth = 0;
+
+void* counted_alloc(std::size_t n) {
+  // fetch_sub makes exactly one thread observe the 1 -> 0 transition; later
+  // callers drift the counter below zero, which reads as disarmed.
+  if (t_alloc_scope_depth > 0 &&
+      g_alloc_countdown.load(std::memory_order_relaxed) >= 0 &&
+      g_alloc_countdown.fetch_sub(1, std::memory_order_relaxed) == 1) {
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// Every non-aligned form is replaced, so a sanitizer runtime (which supplies
+// its own) never frees through free() what it allocated as operator new.
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return operator new(n, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace soap::support {
 namespace {
+
+/// Counts this thread's allocations against `g_alloc_countdown` while alive.
+struct AllocFailureScope {
+  AllocFailureScope() { ++t_alloc_scope_depth; }
+  ~AllocFailureScope() { --t_alloc_scope_depth; }
+  AllocFailureScope(const AllocFailureScope&) = delete;
+  AllocFailureScope& operator=(const AllocFailureScope&) = delete;
+};
+
+/// Runs `body` in a scope whose n-th allocation fails; returns whether
+/// `body` threw std::bad_alloc.  Disarms the countdown either way.
+template <class Body>
+bool fails_at(long long n, Body body) {
+  g_alloc_countdown.store(n, std::memory_order_relaxed);
+  bool threw = false;
+  try {
+    AllocFailureScope scope;
+    body();
+  } catch (const std::bad_alloc&) {
+    threw = true;
+  }
+  g_alloc_countdown.store(-1, std::memory_order_relaxed);
+  return threw;
+}
+
+std::size_t live_nodes() { return sym::expr_intern_stats().live_nodes; }
 
 // --- seeded decisions replay identically ---
 
@@ -167,44 +243,76 @@ TEST(FaultInjection, ErrorRankingSurvivesInjectedDelays) {
   }
 }
 
-// --- arena allocation-failure hook ---
+// --- allocation failures inside the intern path ---
 
-TEST(ArenaFaultHook, InternFailureUnwindsCleanlyAndRetrySucceeds) {
-  const std::size_t before = sym::expr_intern_stats().live_nodes;
-  Arena::fail_after(1);
-  EXPECT_THROW(sym::Expr::symbol("arena_fault_probe"), std::bad_alloc);
-  Arena::clear_failure_hook();
+TEST(InternAllocFailure, FailureUnwindsCleanlyAndRetrySucceeds) {
+  // The name is interned outside the scope, so the failure lands in the
+  // expression intern table rather than the SymId interner.
+  const SymId probe = intern_symbol("alloc_fault_probe");
+  sym::Expr e;
+  const std::size_t before = live_nodes();
+  EXPECT_TRUE(fails_at(1, [&] { e = sym::Expr::symbol(probe); }));
   // The failed intern left no node behind...
-  EXPECT_EQ(sym::expr_intern_stats().live_nodes, before);
+  EXPECT_EQ(live_nodes(), before);
   // ...and the table is fully functional afterwards.
-  sym::Expr e = sym::Expr::symbol("arena_fault_probe") + sym::Expr(1);
-  EXPECT_GT(sym::expr_intern_stats().live_nodes, before);
-  EXPECT_NE(e.str().find("arena_fault_probe"), std::string::npos);
+  e = sym::Expr::symbol(probe) + sym::Expr(1);
+  EXPECT_GT(live_nodes(), before);
+  EXPECT_NE(e.str().find("alloc_fault_probe"), std::string::npos);
 }
 
-TEST(ArenaFaultHook, FailuresUnderConcurrentInterningStayConsistent) {
-  // Arm a stream of failures while many threads intern distinct expressions;
-  // whichever thread absorbs a bad_alloc must leave the shared table intact.
+TEST(InternAllocFailure, EveryAllocationOfOneInternFailsCleanly) {
+  // Fail the 1st, 2nd, ... allocation of one fresh intern in turn until it
+  // succeeds.  The last allocation an intern makes is the shared_ptr control
+  // block, after the node itself, so the sweep covers both teardown paths:
+  // a node that never existed and a built node that was never published.
+  const Rational value(982451653, 7919);  // interned nowhere else
+  sym::Expr fresh;
+  const std::size_t before = live_nodes();
+  long long n = 1;
+  for (; n < 64 && fails_at(n, [&] { fresh = sym::Expr(value); }); ++n) {
+    EXPECT_EQ(live_nodes(), before) << "failed allocation " << n;
+  }
+  ASSERT_LT(n, 64) << "the intern never succeeded";
+  EXPECT_GE(n, 3) << "expected the node and its control block to fail";
+  EXPECT_EQ(live_nodes(), before + 1);
+  EXPECT_EQ(&sym::Expr(value).node(), &fresh.node());
+}
+
+TEST(InternAllocFailure, FailuresUnderConcurrentInterningStayConsistent) {
+  // Arm one failure per round while many threads intern distinct
+  // expressions; whichever thread absorbs the bad_alloc must leave the shared
+  // table intact.  The scope wraps only each lambda's intern expression.
   ThreadPool pool(4);
   ParallelOptions opt;
   opt.threads = 4;
   opt.executor = ExecutorRef(pool);
   std::atomic<int> failures{0};
-  for (int round = 0; round < 8; ++round) {
-    Arena::fail_after(5);
+  auto round = [&] {
     parallel_for(64, opt, [&](std::size_t i) {
       try {
+        AllocFailureScope scope;
         sym::Expr e = sym::Expr::symbol("conc_fault_" +
                                         std::to_string(i % 16)) +
                       sym::Expr(static_cast<long long>(i));
-        (void)e;
       } catch (const std::bad_alloc&) {
         failures.fetch_add(1, std::memory_order_relaxed);
       }
     });
-    Arena::clear_failure_hook();
+  };
+  round();  // unarmed: interns the names and any pinned constants
+  const std::size_t before = live_nodes();
+  for (int r = 0; r < 8; ++r) {
+    g_alloc_countdown.store(5, std::memory_order_relaxed);
+    round();
+    g_alloc_countdown.store(-1, std::memory_order_relaxed);
   }
-  // The interner still works after every round of injected failures.
+  // Every round makes far more than five scoped allocations, and exactly one
+  // thread observes the countdown reach zero.
+  EXPECT_EQ(failures.load(), 8);
+  // Every expression died with its round, failed or not, so the table is
+  // back to its size before the rounds...
+  EXPECT_EQ(live_nodes(), before);
+  // ...and the interner still works.
   sym::Expr check = sym::Expr::symbol("conc_fault_0") * sym::Expr(2);
   EXPECT_NE(check.str().find("conc_fault_0"), std::string::npos);
 }

@@ -162,9 +162,9 @@ TEST(HashConsing, ConcurrentDisjointInterningIsConsistent) {
 }
 
 TEST(HashConsing, EvictionRaceUnderChurn) {
-  // The lifetime contract under the arena: weak eviction, where the node
-  // deleter re-locks the owning shard to erase its table entry and then
-  // returns the slot to the shard arena.  Race creation and destruction of
+  // The lifetime contract: weak eviction, where the node deleter re-locks
+  // the owning shard to erase its table entry and then frees the node.
+  // Race creation and destruction of
   // *structurally equal* temporaries across threads so deleters interleave
   // with probes that find the dying entry (the weak_ptr::lock-fails path),
   // then check the table drains back to its pre-test size.

@@ -398,6 +398,26 @@ TEST(OptimizerBackend, EvalBudgetSurfacesStopReachedWithoutThrowing) {
   }
 }
 
+TEST(OptimizerBackend, UnbudgetedSolveCountsEveryEvaluation) {
+  // A guard without stop criteria still counts: `evaluations` reports the
+  // same work as under a budget that never trips.
+  OptimizationProblem p = gemm_problem();
+  auto evaluations = [&p](const support::StopCriteria* stop) {
+    opt::EvalGuard guard{stop, 0};
+    opt::SolveRequest request;
+    request.X = 3e4;
+    request.guard = &guard;
+    return opt::backend(opt::BackendKind::kNelderMead)
+        .solve(p, request)
+        .evaluations;
+  };
+  support::StopCriteria roomy;
+  roomy.budget.max_solver_evals = 1u << 30;
+  const std::uint64_t unbudgeted = evaluations(nullptr);
+  EXPECT_GT(unbudgeted, 0u);
+  EXPECT_EQ(unbudgeted, evaluations(&roomy));
+}
+
 TEST(DeriveChi, RecordsHealthySolveCode) {
   auto chi = derive_chi(gemm_problem());
   ASSERT_TRUE(chi);
