@@ -1,5 +1,5 @@
 // The attention family: post-paper workloads defined through the frontend
-// DSL and registered with the corpus registry.  Three variants of
+// DSL and listed in the corpus registry.  Three variants of
 // scaled-dot-product attention over a batch B of sequences of length L:
 //
 //   * attention       — single-head softmax attention with the standard
@@ -48,7 +48,7 @@ std::vector<KernelEntry> attention_kernels() {
     KernelEntry k;
     k.name = "attention";
     k.family = "attention";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for b in range(B):
   for i in range(L):
     for j in range(L):
@@ -75,7 +75,7 @@ for b in range(B):
   for i in range(L):
     for d in range(D):
       O[b,i,d] = Acc[b,i,d] / sm[b,i]
-)");
+)";
     Expr bound = Expr(4) * B * L * L * D / sym::sqrt(S());
     k.paper_bound = bound;
     k.expected_bound = bound;
@@ -96,7 +96,7 @@ for b in range(B):
     KernelEntry k;
     k.name = "mqa";
     k.family = "attention";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for b in range(B):
   for h in range(H):
     for i in range(L):
@@ -109,7 +109,7 @@ for b in range(B):
       for j in range(L):
         for p in range(P):
           Ctx[b,h,i,p] += Sc[b,h,i,j] * Vsh[b,j,p]
-)");
+)";
     Expr bound = Expr(4) * B * H * L * L * P / sym::sqrt(S());
     k.paper_bound = bound;
     k.expected_bound = bound;
@@ -132,7 +132,7 @@ for b in range(B):
     KernelEntry k;
     k.name = "flash_attention";
     k.family = "attention";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for b in range(B):
   for i in range(L):
     for j in range(L):
@@ -159,7 +159,7 @@ for b in range(B):
   for i in range(L):
     for d in range(D):
       O[b,i,d] = Acc[b,i,d] / sm[b,i]
-)");
+)";
     Expr bound = Expr(4) * B * L * L * D / sym::sqrt(S());
     k.paper_bound = bound;
     k.expected_bound = bound;
@@ -175,12 +175,5 @@ for b in range(B):
 
   return v;
 }
-
-void force_link_attention_family() {}
-
-namespace {
-const FamilyRegistrar attention_registrar{"attention", 3,
-                                          &attention_kernels};
-}  // namespace
 
 }  // namespace soap::kernels

@@ -2,8 +2,6 @@
 // LeNet-5, BERT encoder.
 #include "kernels/table2.hpp"
 
-#include "frontend/lower.hpp"
-
 namespace soap::kernels {
 
 namespace {
@@ -36,7 +34,7 @@ std::vector<KernelEntry> neural_kernels() {
     KernelEntry k;
     k.name = "conv";
     k.family = "neural";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for b in range(B):
   for c in range(Cin):
     for k in range(Cout):
@@ -45,7 +43,7 @@ for b in range(B):
           for r in range(Hker):
             for s in range(Wker):
               Out[k,h,w,b] += Img[r + 7*h, s + 7*w, c, b] * F[k,r,s,c]
-)");
+)";
     Expr bound = Expr(2) * B * Cin * Cout * Hout * Wout * Hker * Wker /
                  sym::sqrt(S());
     k.paper_bound = bound;
@@ -64,7 +62,7 @@ for b in range(B):
     KernelEntry k;
     k.name = "softmax";
     k.family = "neural";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for b in range(B):
   for h in range(H):
     for m in range(M):
@@ -85,7 +83,7 @@ for b in range(B):
     for m in range(M):
       for n in range(N):
         out[b,h,m,n] = e[b,h,m,n] / sm[b,h,m]
-)");
+)";
     Expr bound = Expr(4) * sy("B") * sy("H") * sy("M") * sy("N");
     k.paper_bound = bound;
     k.expected_bound = bound;
@@ -103,7 +101,7 @@ for b in range(B):
     KernelEntry k;
     k.name = "mlp";
     k.family = "neural";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for n in range(Nb):
   for j in range(F1):
     for k in range(Inp):
@@ -116,7 +114,7 @@ for n in range(Nb):
   for j in range(Outd):
     for k in range(F2):
       o[n,j] += h2[n,k] * W3[k,j]
-)");
+)";
     Expr Nb = sy("Nb"), F1 = sy("F1"), F2 = sy("F2"), Inp = sy("Inp"),
          Outd = sy("Outd");
     Expr bound =
@@ -136,7 +134,7 @@ for n in range(Nb):
     KernelEntry k;
     k.name = "lenet5";
     k.family = "neural";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for n in range(N):
   for c in range(C):
     for k in range(6):
@@ -145,7 +143,7 @@ for n in range(N):
           for r in range(5):
             for s in range(5):
               Out[k,h,w,n] += Img[r + 5*h, s + 5*w, c, n] * F[k,r,s,c]
-)");
+)";
     Expr C = sy("C"), H = sy("H"), N = sy("N"), W = sy("W");
     k.paper_bound = Expr(300) * sym::sqrt(Expr(2)) * C * H * N * W /
                     sym::sqrt(S());
@@ -164,7 +162,7 @@ for n in range(N):
     KernelEntry k;
     k.name = "bert_encoder";
     k.family = "neural";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for b in range(B):
   for l in range(L):
     for h in range(H):
@@ -201,7 +199,7 @@ for b in range(B):
       for p in range(P):
         for e in range(E):
           O[b,l,e] += Ctx[b,l,h,p] * WO[e,h,p]
-)");
+)";
     Expr Bb = sy("B"), H = sy("H"), P = sy("P"), L = sy("L"), E = sy("E");
     Expr bound = (Expr(4) * Bb * H * P * L * L +
                   Expr(8) * Bb * L * H * P * E) /
@@ -220,11 +218,5 @@ for b in range(B):
 
   return v;
 }
-
-void force_link_neural_family() {}
-
-namespace {
-const FamilyRegistrar neural_registrar{"neural", 1, &neural_kernels};
-}  // namespace
 
 }  // namespace soap::kernels

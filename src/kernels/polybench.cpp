@@ -7,8 +7,6 @@
 // few documented cases, see EXPERIMENTS.md).
 #include "kernels/table2.hpp"
 
-#include "frontend/lower.hpp"
-
 namespace soap::kernels {
 
 namespace {
@@ -24,7 +22,7 @@ KernelEntry src(std::string name, std::string source, Expr paper,
   KernelEntry k;
   k.name = std::move(name);
   k.family = "polybench";
-  set_dsl_source(k, std::move(source));
+  k.source = std::move(source);
   k.paper_bound = std::move(paper);
   k.expected_bound = std::move(expected);
   k.sota = std::move(sota);
@@ -392,12 +390,5 @@ for i in range(N):
 
   return v;
 }
-
-void force_link_polybench_family() {}
-
-namespace {
-const FamilyRegistrar polybench_registrar{"polybench", 0,
-                                          &polybench_kernels};
-}  // namespace
 
 }  // namespace soap::kernels

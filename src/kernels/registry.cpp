@@ -1,161 +1,83 @@
 #include "kernels/registry.hpp"
 
-#include <algorithm>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "frontend/lower.hpp"
+#include "kernels/table2.hpp"
 
 namespace soap::kernels {
 
-// Anchor symbols of the in-tree family translation units.  The corpus is a
-// static library: an archive member is only linked in when something
-// references a symbol it defines, and a family TU whose only content is a
-// FamilyRegistrar defines nothing anyone calls.  Referencing each anchor
-// from materialize() (below) forces the linker to keep every family object
-// file, whose static registrars then run before main() as usual.
-void force_link_polybench_family();
-void force_link_neural_family();
-void force_link_various_family();
-void force_link_attention_family();
-void force_link_sparse_stencil_family();
+namespace {
 
-void set_dsl_source(KernelEntry& entry, std::string source) {
-  entry.source = std::move(source);
-  entry.build = [src = entry.source] { return frontend::parse_program(src); };
-}
-
-struct Registry::Impl {
-  struct Family {
-    std::string name;
-    int rank = 0;
-    std::function<std::vector<KernelEntry>()> build;
-  };
-
-  std::mutex mu;
-  bool built = false;
-  std::vector<Family> pending;
-  std::vector<KernelEntry> kernels;
-  std::vector<std::string> family_names;
-  std::unordered_map<std::string, std::size_t> by_name;
-
-  // Builds the immutable corpus from the registered families: families are
-  // ordered by (rank, name) — independent of static-init order across
-  // translation units, so enumeration order is deterministic — and every
-  // entry is validated (unique corpus-wide name, family tag consistent
-  // with the registrar, problem sizes derived when unset).  Built into
-  // locals and committed at the end, so a throwing validation or family
-  // builder leaves the registry empty-but-consistent instead of half
-  // populated.  Caller holds `mu`.
-  void materialize() {
-    if (built) return;
-    // Link-time anchors; the calls themselves are no-ops.
-    force_link_polybench_family();
-    force_link_neural_family();
-    force_link_various_family();
-    force_link_attention_family();
-    force_link_sparse_stencil_family();
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const Family& a, const Family& b) {
-                       return a.rank != b.rank ? a.rank < b.rank
-                                               : a.name < b.name;
-                     });
-    std::vector<KernelEntry> all;
-    std::vector<std::string> names;
-    std::unordered_map<std::string, std::size_t> index;
-    for (Family& fam : pending) {
-      names.push_back(fam.name);
-      for (KernelEntry& k : fam.build()) {
-        if (!k.family.empty() && k.family != fam.name) {
-          throw std::logic_error("kernel '" + k.name + "' tagged family '" +
-                                 k.family + "' but registered under '" +
-                                 fam.name + "'");
-        }
-        k.family = fam.name;
-        if (k.problem_sizes.empty()) {
-          for (const std::string& s : k.expected_bound.symbols()) {
-            if (s != "S") k.problem_sizes.push_back(s);
-          }
-        }
-        auto [it, inserted] = index.try_emplace(k.name, all.size());
-        if (!inserted) {
-          throw std::logic_error("kernel registered twice: " + k.name);
-        }
-        all.push_back(std::move(k));
-      }
-    }
-    kernels = std::move(all);
-    family_names = std::move(names);
-    by_name = std::move(index);
-    pending.clear();
-    built = true;
-  }
+struct Family {
+  const char* name;
+  std::vector<KernelEntry> (*build)();
 };
 
-Registry& Registry::instance() {
-  static Registry registry;
-  return registry;
-}
+// The corpus, in enumeration order: the published Table 2 blocks first (so
+// their rows keep their indices), then the post-paper families.
+constexpr Family kFamilies[] = {
+    {"polybench", &polybench_kernels},
+    {"neural", &neural_kernels},
+    {"various", &various_kernels},
+    {"attention", &attention_kernels},
+    {"sparse_stencil", &sparse_stencil_kernels},
+};
 
-Registry::Impl& Registry::impl() const {
-  static Impl impl;
-  return impl;
-}
+}  // namespace
 
-void Registry::add_family(std::string family, int rank,
-                          std::function<std::vector<KernelEntry>()> build) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  if (im.built) {
-    throw std::logic_error("Registry::add_family(" + family +
-                           ") after the corpus materialized; families must "
-                           "register during static initialization");
+Program KernelEntry::build() const { return frontend::parse_program(source); }
+
+// Validates every entry (unique corpus-wide name, family tag consistent with
+// the family list) and derives problem sizes where an entry leaves them
+// unset.
+Registry::Registry() {
+  for (const Family& fam : kFamilies) {
+    families_.emplace_back(fam.name);
+    for (KernelEntry& k : fam.build()) {
+      if (!k.family.empty() && k.family != fam.name) {
+        throw std::logic_error("kernel '" + k.name + "' tagged family '" +
+                               k.family + "' but listed under '" + fam.name +
+                               "'");
+      }
+      k.family = fam.name;
+      if (k.problem_sizes.empty()) {
+        for (const std::string& s : k.expected_bound.symbols()) {
+          if (s != "S") k.problem_sizes.push_back(s);
+        }
+      }
+      if (!by_name_.try_emplace(k.name, kernels_.size()).second) {
+        throw std::logic_error("kernel registered twice: " + k.name);
+      }
+      kernels_.push_back(std::move(k));
+    }
   }
-  im.pending.push_back({std::move(family), rank, std::move(build)});
 }
 
-const std::vector<KernelEntry>& Registry::kernels() const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  im.materialize();
-  return im.kernels;
-}
-
-std::vector<std::string> Registry::families() const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  im.materialize();
-  return im.family_names;
+const Registry& Registry::instance() {
+  static const Registry registry;
+  return registry;
 }
 
 std::vector<const KernelEntry*> Registry::family(
     const std::string& family) const {
   std::vector<const KernelEntry*> out;
-  for (const KernelEntry& k : kernels()) {
+  for (const KernelEntry& k : kernels_) {
     if (k.family == family) out.push_back(&k);
   }
   return out;
 }
 
 const KernelEntry* Registry::find(const std::string& name) const {
-  const std::vector<KernelEntry>& all = kernels();  // materializes
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto it = im.by_name.find(name);
-  return it == im.by_name.end() ? nullptr : &all[it->second];
+  auto it = by_name_.find(name);
+  return it == by_name_.end() ? nullptr : &kernels_[it->second];
 }
 
 const KernelEntry& Registry::at(const std::string& name) const {
   const KernelEntry* k = find(name);
   if (k == nullptr) throw std::out_of_range("unknown kernel: " + name);
   return *k;
-}
-
-FamilyRegistrar::FamilyRegistrar(const char* family, int rank,
-                                 std::vector<KernelEntry> (*build)()) {
-  Registry::instance().add_family(family, rank, build);
 }
 
 }  // namespace soap::kernels

@@ -1,21 +1,19 @@
-// The extensible kernel corpus: a process-wide registry of analyzable
-// kernels, organized into families.  The paper's fixed Table 2 corpus
-// (polybench / neural / various) is registered here by its three family
-// translation units, and new families (attention, sparse_stencil, ...)
-// plug in the same way: a translation unit builds its `KernelEntry`
-// vector and self-registers it with a `FamilyRegistrar` at static-init
-// time.  Everything that enumerates the corpus — the bench drivers,
+// The kernel corpus: every analyzable kernel, organized into families.
+// The paper's fixed Table 2 corpus (polybench / neural / various) and the
+// post-paper families (attention, sparse_stencil) are listed once, in
+// enumeration order, in the family list of registry.cpp; each family
+// translation unit provides the builder that returns its `KernelEntry`
+// vector.  Everything that enumerates the corpus — the bench drivers,
 // `analyze_tool --corpus/--family/--list-kernels`, the golden tests —
 // walks the registry instead of a hardcoded array.
 //
-// See docs/ADDING_KERNELS.md for the end-to-end recipe (DSL source,
-// registration, golden bound) and the one linker subtlety of
-// self-registration from a static library.
+// See docs/ADDING_KERNELS.md for the end-to-end recipe (DSL source, family
+// list entry, golden bound).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sdg/multi_statement.hpp"
@@ -24,25 +22,20 @@
 
 namespace soap::kernels {
 
-/// One corpus kernel: how to build its SOAP program, the engine
-/// configuration that analyzes it, and the reference bounds the analysis
-/// is checked against.
+/// One corpus kernel: its frontend DSL source, the engine configuration
+/// that analyzes it, and the reference bounds the analysis is checked
+/// against.
 struct KernelEntry {
   /// Unique corpus-wide kernel name (`gemm`, `bert_encoder`, ...).
   std::string name;
   /// Family the kernel belongs to: "polybench" | "neural" | "various"
-  /// (the original Table 2 blocks) | "attention" | "sparse_stencil" | any
-  /// family a registrar adds.
+  /// (the original Table 2 blocks) | "attention" | "sparse_stencil".
   std::string family;
-  /// Builds the SOAP program (typically by parsing `source` through the
-  /// frontend; heavier kernels may construct the Program programmatically).
-  std::function<Program()> build;
-  /// Frontend DSL source when the kernel is defined through it (set by
-  /// `set_dsl_source`); informational — `build` is authoritative.
+  /// Frontend DSL source of the kernel's SOAP program.
   std::string source;
   /// Problem-size symbols of the kernel (N, M, T, ...; never S).  Left
   /// empty by most entries and derived from `expected_bound` when the
-  /// registry materializes.
+  /// registry is built.
   std::vector<std::string> problem_sizes;
   /// Reference bound: the leading-order bound as printed in Table 2 of the
   /// paper for the original 38 rows, or the closed-form expected
@@ -55,37 +48,24 @@ struct KernelEntry {
   std::string improvement;  ///< Table 2 improvement factor (display only)
   sdg::SdgOptions options;  ///< engine configuration reproducing the bound
   std::string notes;        ///< encoding decisions worth surfacing
+
+  /// The SOAP program: `source` parsed by frontend::parse_program.
+  [[nodiscard]] Program build() const;
 };
 
-/// Sets `entry.source` and installs a `build` that parses it with the
-/// frontend (`frontend::parse_program`).  The convenience used by every
-/// DSL-defined corpus kernel.
-void set_dsl_source(KernelEntry& entry, std::string source);
-
-/// The process-wide kernel corpus.  Families register themselves during
-/// static initialization (see FamilyRegistrar); the entry vectors are
-/// built lazily on first enumeration and immutable afterwards, so every
-/// accessor below returns stable references and is safe to call from any
-/// thread.
+/// The process-wide kernel corpus, built from the family list on first
+/// use and immutable afterwards, so every accessor below returns stable
+/// references and is safe to call from any thread.
 class Registry {
  public:
-  /// The singleton instance (created on first use).
-  static Registry& instance();
+  /// The singleton instance (built on first use).
+  static const Registry& instance();
 
-  /// Registers a family: a display name, an ordering rank (families are
-  /// enumerated by ascending rank, then name — the original Table 2 blocks
-  /// use ranks 0..2 so corpus order is stable as families are added), and
-  /// a builder returning the family's entries.  Must run before the first
-  /// enumeration (i.e. during static init); throws std::logic_error after
-  /// the registry has materialized.
-  void add_family(std::string family, int rank,
-                  std::function<std::vector<KernelEntry>()> build);
-
-  /// Every kernel of every family, in (family rank, registration) order.
-  const std::vector<KernelEntry>& kernels() const;
+  /// Every kernel of every family, in (family list, family builder) order.
+  const std::vector<KernelEntry>& kernels() const { return kernels_; }
 
   /// Family names in enumeration order.
-  std::vector<std::string> families() const;
+  const std::vector<std::string>& families() const { return families_; }
 
   /// The kernels of one family (empty vector for an unknown family).
   std::vector<const KernelEntry*> family(const std::string& family) const;
@@ -97,23 +77,14 @@ class Registry {
   const KernelEntry& at(const std::string& name) const;
 
   /// Total kernel count across all families.
-  std::size_t size() const { return kernels().size(); }
+  std::size_t size() const { return kernels_.size(); }
 
  private:
-  Registry() = default;
-  struct Impl;
-  Impl& impl() const;
-};
+  Registry();
 
-/// Self-registration hook: a namespace-scope `FamilyRegistrar` in a family
-/// translation unit registers the family when the TU's statics are
-/// initialized.  Because the corpus is a static library, a family TU that
-/// nothing references would be dropped by the linker; registry.cpp anchors
-/// every in-tree family TU (see docs/ADDING_KERNELS.md for the recipe when
-/// adding one).
-struct FamilyRegistrar {
-  FamilyRegistrar(const char* family, int rank,
-                  std::vector<KernelEntry> (*build)());
+  std::vector<KernelEntry> kernels_;
+  std::vector<std::string> families_;
+  std::unordered_map<std::string, std::size_t> by_name_;
 };
 
 }  // namespace soap::kernels

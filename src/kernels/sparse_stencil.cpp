@@ -1,6 +1,6 @@
 // The sparse_stencil family: post-paper workloads whose access patterns
 // leave the pure affine world, defined through the frontend DSL and
-// registered with the corpus registry.
+// listed in the corpus registry.
 //
 //   * spmv_csr      — CSR sparse matrix-vector product in the uniform-row
 //                     model (M rows, K stored entries per row).  The
@@ -40,11 +40,11 @@ std::vector<KernelEntry> sparse_stencil_kernels() {
     KernelEntry k;
     k.name = "spmv_csr";
     k.family = "sparse_stencil";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for i in range(M):
   for k in range(K):
     y[i] += val[i,k] * x[colind[i,k]]
-)");
+)";
     Expr bound = Expr(2) * M * K;
     k.paper_bound = bound;
     k.expected_bound = bound;
@@ -63,14 +63,14 @@ for i in range(M):
     KernelEntry k;
     k.name = "stencil_sweep";
     k.family = "sparse_stencil";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for i in range(1, N - 1):
   for j in range(1, N - 1):
     tmp[i,j] = inp[i-1,j] + inp[i+1,j] + inp[i,j-1] + inp[i,j+1] + inp[i,j]
 for i in range(1, N - 1):
   for j in range(1, N - 1):
     outp[i,j] = tmp[i-1,j] + tmp[i+1,j] + tmp[i,j-1] + tmp[i,j+1] + tmp[i,j]
-)");
+)";
     Expr bound = Expr(2) * N * N;
     k.paper_bound = bound;
     k.expected_bound = bound;
@@ -86,12 +86,5 @@ for i in range(1, N - 1):
 
   return v;
 }
-
-void force_link_sparse_stencil_family() {}
-
-namespace {
-const FamilyRegistrar sparse_stencil_registrar{"sparse_stencil", 4,
-                                               &sparse_stencil_kernels};
-}  // namespace
 
 }  // namespace soap::kernels

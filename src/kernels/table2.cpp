@@ -7,8 +7,8 @@
 namespace soap::kernels {
 
 std::vector<const KernelEntry*> table2_kernels() {
-  // The published blocks, in published order; registry family ranks 0..2
-  // keep this stable no matter how many families register after them.
+  // The published blocks, in published order; they lead the registry's
+  // family list, so families appended after them never move these rows.
   std::vector<const KernelEntry*> rows;
   const Registry& registry = Registry::instance();
   for (const char* family : {"polybench", "neural", "various"}) {

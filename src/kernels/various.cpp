@@ -2,8 +2,6 @@
 // horizontal diffusion and vertical advection.
 #include "kernels/table2.hpp"
 
-#include "frontend/lower.hpp"
-
 namespace soap::kernels {
 
 namespace {
@@ -48,7 +46,7 @@ std::vector<KernelEntry> various_kernels() {
     KernelEntry k;
     k.name = "lulesh";
     k.family = "various";
-    set_dsl_source(k, lulesh_source());
+    k.source = lulesh_source();
     Expr bound = Expr(22) * sy("numElem");
     k.paper_bound = bound;
     k.expected_bound = bound;
@@ -69,7 +67,7 @@ std::vector<KernelEntry> various_kernels() {
     KernelEntry k;
     k.name = "horizontal_diffusion";
     k.family = "various";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for i in range(1, I - 1):
   for j in range(1, J - 1):
     for k in range(K):
@@ -86,7 +84,7 @@ for i in range(1, I - 1):
   for j in range(1, J - 1):
     for k in range(K):
       outf[i,j,k] = inf[i,j,k] - flx[i,j,k] + flx[i-1,j,k] - fly[i,j,k] + fly[i,j-1,k]
-)");
+)";
     Expr bound = Expr(2) * sy("I") * sy("J") * sy("K");
     k.paper_bound = bound;
     k.expected_bound = bound;
@@ -103,7 +101,7 @@ for i in range(1, I - 1):
     KernelEntry k;
     k.name = "vertical_advection";
     k.family = "various";
-    set_dsl_source(k, R"(
+    k.source = R"(
 for i in range(I):
   for j in range(J):
     for k in range(1, K):
@@ -124,7 +122,7 @@ for i in range(I):
   for j in range(J):
     for k in range(K):
       utens[i,j,k] = ustage[i,j,k] + utensin[i,j,k]
-)");
+)";
     Expr bound = Expr(5) * sy("I") * sy("J") * sy("K");
     k.paper_bound = bound;
     k.expected_bound = bound;
@@ -136,11 +134,5 @@ for i in range(I):
 
   return v;
 }
-
-void force_link_various_family() {}
-
-namespace {
-const FamilyRegistrar various_registrar{"various", 2, &various_kernels};
-}  // namespace
 
 }  // namespace soap::kernels

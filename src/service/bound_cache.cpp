@@ -1,11 +1,8 @@
 #include "service/bound_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <fstream>
-#include <list>
-#include <unordered_map>
 #include <utility>
 
 #include "service/serialize.hpp"
@@ -19,12 +16,6 @@ namespace {
 // treated as a stale format and ignored wholesale (the cache then starts
 // cold and rewrites nothing — append-only files are never truncated here).
 constexpr const char* kPersistHeader = "soap-bound-cache v1";
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 }  // namespace
 
@@ -42,7 +33,7 @@ const char* cache_outcome_name(CacheOutcome outcome) noexcept {
 
 /// One in-flight derivation: the leader publishes result-or-error and
 /// notifies; followers wait.  Lives on the heap via shared_ptr so a
-/// follower that outlives the shard's flight-map entry still sees the
+/// follower that outlives the cache's flight-map entry still sees the
 /// publication.
 struct BoundCache::Flight {
   std::mutex mutex;
@@ -52,34 +43,8 @@ struct BoundCache::Flight {
   std::exception_ptr error;
 };
 
-struct BoundCache::Shard {
-  struct Entry {
-    CacheKey key;
-    sdg::MultiStatementBound bound;
-  };
-
-  mutable std::mutex mutex;
-  /// front = most recently used.
-  std::list<Entry> lru;
-  std::unordered_map<CacheKey, std::list<Entry>::iterator> index;
-  std::unordered_map<CacheKey, std::shared_ptr<Flight>> flights;
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> coalesced{0};
-  std::atomic<std::uint64_t> evicted{0};
-};
-
 BoundCache::BoundCache(BoundCacheOptions options)
     : options_(std::move(options)) {
-  const std::size_t nshards =
-      round_up_pow2(options_.shards == 0 ? 1 : options_.shards);
-  shard_mask_ = nshards - 1;
-  per_shard_capacity_ =
-      std::max<std::size_t>(1, (options_.max_entries + nshards - 1) / nshards);
-  shards_.reserve(nshards);
-  for (std::size_t i = 0; i < nshards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   if (!options_.persist_path.empty()) {
     load_persisted();
     // Open for append after loading; write the header iff the file is new
@@ -98,36 +63,36 @@ BoundCache::BoundCache(BoundCacheOptions options)
 
 BoundCache::~BoundCache() = default;
 
-BoundCache::Shard& BoundCache::shard_of(const CacheKey& key) const {
-  return *shards_[static_cast<std::size_t>(key.digest.hi) & shard_mask_];
-}
-
 CachedBound BoundCache::get_or_derive(
     const CacheKey& key,
     const std::function<sdg::MultiStatementBound()>& derive) {
-  Shard& shard = shard_of(key);
   std::shared_ptr<Flight> flight;
   bool leader = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.index.find(key); it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (auto it = index_.find(key); it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++hits_;
       return {it->second->bound, CacheOutcome::kHit};
     }
-    if (auto it = shard.flights.find(key); it != shard.flights.end()) {
+    if (auto it = flights_.find(key); it != flights_.end()) {
       flight = it->second;
     } else {
       flight = std::make_shared<Flight>();
-      shard.flights.emplace(key, flight);
+      flights_.emplace(key, flight);
       leader = true;
     }
   }
 
   if (!leader) {
-    std::unique_lock<std::mutex> lock(flight->mutex);
-    flight->cv.wait(lock, [&flight] { return flight->done; });
-    shard.coalesced.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::unique_lock<std::mutex> lock(flight->mutex);
+      flight->cv.wait(lock, [&flight] { return flight->done; });
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++coalesced_;
+    }
     if (flight->error) std::rethrow_exception(flight->error);
     return {*flight->result, CacheOutcome::kCoalesced};
   }
@@ -146,8 +111,9 @@ CachedBound BoundCache::get_or_derive(
   // so it is served to the coalesced waiters but never stored.
   if (!error && !bound->degraded) store(key, *bound, /*persist=*/true);
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.flights.erase(key);
+    std::lock_guard<std::mutex> lock(mutex_);
+    flights_.erase(key);
+    ++misses_;
   }
   {
     std::lock_guard<std::mutex> lock(flight->mutex);
@@ -156,19 +122,17 @@ CachedBound BoundCache::get_or_derive(
     flight->done = true;
   }
   flight->cv.notify_all();
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
   if (error) std::rethrow_exception(error);
   return {*std::move(bound), CacheOutcome::kMiss};
 }
 
 std::optional<sdg::MultiStatementBound> BoundCache::lookup(
     const CacheKey& key) {
-  Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = index_.find(key);
+  if (it == index_.end()) return std::nullopt;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++hits_;
   return it->second->bound;
 }
 
@@ -180,42 +144,39 @@ void BoundCache::put(const CacheKey& key,
 
 void BoundCache::store(const CacheKey& key,
                        const sdg::MultiStatementBound& bound, bool persist) {
-  Shard& shard = shard_of(key);
   bool inserted = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.index.find(key); it != shard.index.end()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (auto it = index_.find(key); it != index_.end()) {
       // First store wins — a duplicate is necessarily the identical bound
       // (the key is a pure function of what derives it).
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      lru_.splice(lru_.begin(), lru_, it->second);
     } else {
-      shard.lru.push_front(Shard::Entry{key, bound});
-      shard.index.emplace(key, shard.lru.begin());
+      lru_.push_front(Entry{key, bound});
+      index_.emplace(key, lru_.begin());
       inserted = true;
-      while (shard.lru.size() > per_shard_capacity_) {
-        shard.index.erase(shard.lru.back().key);
-        shard.lru.pop_back();
-        shard.evicted.fetch_add(1, std::memory_order_relaxed);
+      while (lru_.size() > std::max<std::size_t>(1, options_.max_entries)) {
+        evict_lru();
       }
     }
-  }
-  // Live-node budget (PR 8 gauge): dropping LRU entries releases their
-  // Expr references, letting the weakly-held intern table reclaim nodes.
-  // Bounded by this shard's size, so a budget below the process floor
-  // degenerates to "cache nothing", never to a spin.
-  if (options_.max_live_nodes != 0 &&
-      support::live_node_count() > options_.max_live_nodes) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    while (!shard.lru.empty() &&
+    // Live-node budget: dropping LRU entries releases their Expr
+    // references, letting the weakly-held intern table reclaim nodes.
+    // Bounded by the cache size, so a budget below the process floor
+    // degenerates to "cache nothing", never to a spin.
+    while (options_.max_live_nodes != 0 && !lru_.empty() &&
            support::live_node_count() > options_.max_live_nodes) {
-      shard.index.erase(shard.lru.back().key);
-      shard.lru.pop_back();
-      shard.evicted.fetch_add(1, std::memory_order_relaxed);
+      evict_lru();
     }
   }
   if (inserted && persist && persist_out_ != nullptr) {
     append_persisted(key, bound);
   }
+}
+
+void BoundCache::evict_lru() {
+  index_.erase(lru_.back().key);
+  lru_.pop_back();
+  ++evicted_;
 }
 
 void BoundCache::load_persisted() {
@@ -247,26 +208,20 @@ void BoundCache::append_persisted(const CacheKey& key,
 }
 
 BoundCacheStats BoundCache::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   BoundCacheStats s;
+  s.hits = hits_;
+  s.misses = misses_;
+  s.coalesced = coalesced_;
+  s.evicted = evicted_;
   s.persisted_loaded = persisted_loaded_;
-  for (const auto& shard : shards_) {
-    s.hits += shard->hits.load(std::memory_order_relaxed);
-    s.misses += shard->misses.load(std::memory_order_relaxed);
-    s.coalesced += shard->coalesced.load(std::memory_order_relaxed);
-    s.evicted += shard->evicted.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    s.entries += shard->lru.size();
-  }
+  s.entries = lru_.size();
   return s;
 }
 
 std::size_t BoundCache::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    n += shard->lru.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return lru_.size();
 }
 
 }  // namespace soap::service

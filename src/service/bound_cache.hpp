@@ -1,7 +1,7 @@
 // The memoized bound cache behind `analyzed` and `analyze_tool --cache`
 // (docs/SERVING.md).
 //
-// A sharded in-memory LRU keyed on service::CacheKey (stable content
+// An in-memory LRU keyed on service::CacheKey (stable content
 // digests, cache_key.hpp) holding complete MultiStatementBound results.
 // Three properties carry the serving story:
 //
@@ -19,12 +19,14 @@
 //     budget trips, docs/ROBUSTNESS.md) are *never stored* — they depend
 //     on wall-clock/budget state the key deliberately excludes.
 //
-//   * Bounded footprint.  Per-shard LRU eviction enforces max_entries, and
-//     an optional max_live_nodes budget is polled against the PR 8
-//     live-node gauge (support::live_node_count — the sharded intern
+//   * Bounded footprint.  One cache-wide LRU enforces max_entries as a
+//     hard cap, and an optional max_live_nodes budget is polled against
+//     the live-node gauge (support::live_node_count — the sharded intern
 //     table's live count): after an insertion pushes the gauge past the
 //     budget, least-recently-used entries are dropped so their Expr
 //     references release interned nodes back to the weakly-held table.
+//     One mutex guards the LRU, its index, the in-flight map and the
+//     counters; derivations run outside it.
 //
 // Optional persistence: an append-only file of `digest<TAB>record` lines
 // (service/serialize.hpp) written on every store and loaded at
@@ -35,11 +37,12 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "sdg/multi_statement.hpp"
 #include "service/cache_key.hpp"
@@ -47,15 +50,12 @@
 namespace soap::service {
 
 struct BoundCacheOptions {
-  /// Total cached-entry capacity across all shards (rounded up to a
-  /// per-shard slice); at least one entry per shard.
+  /// Cached-entry capacity (at least 1).
   std::size_t max_entries = 4096;
   /// Live interned-node budget (0 = unlimited): after a store pushes
   /// support::live_node_count() past this, LRU entries are evicted until
   /// the gauge drops back or the cache is empty.
   std::size_t max_live_nodes = 0;
-  /// Lock shards (rounded up to a power of two, at least 1).
-  std::size_t shards = 8;
   /// Append-only persistence file ("" = in-memory only): loaded at
   /// construction, appended on every fresh store.
   std::string persist_path;
@@ -123,21 +123,31 @@ class BoundCache {
   [[nodiscard]] std::size_t size() const;
 
  private:
-  struct Shard;
+  struct Entry {
+    CacheKey key;
+    sdg::MultiStatementBound bound;
+  };
   struct Flight;
 
-  Shard& shard_of(const CacheKey& key) const;
-  /// Store into the shard (LRU front), run evictions, optionally persist.
+  /// Store at the LRU front, run evictions, optionally persist.
   void store(const CacheKey& key, const sdg::MultiStatementBound& bound,
              bool persist);
+  /// Drops the least-recently-used entry.  Caller holds `mutex_`.
+  void evict_lru();
   void load_persisted();
   void append_persisted(const CacheKey& key,
                         const sdg::MultiStatementBound& bound);
 
   BoundCacheOptions options_;
-  std::size_t shard_mask_ = 0;
-  std::size_t per_shard_capacity_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  /// front = most recently used.
+  std::list<Entry> lru_;
+  std::unordered_map<CacheKey, std::list<Entry>::iterator> index_;
+  std::unordered_map<CacheKey, std::shared_ptr<Flight>> flights_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t coalesced_ = 0;
+  std::uint64_t evicted_ = 0;
   std::mutex persist_mutex_;
   std::unique_ptr<std::ofstream> persist_out_;
   std::uint64_t persisted_loaded_ = 0;

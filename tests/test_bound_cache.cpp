@@ -166,7 +166,6 @@ TEST(BoundCacheTest, ErrorsPropagateAndAreNotCached) {
 TEST(BoundCacheTest, LruEvictionAtCapacity) {
   BoundCacheOptions options;
   options.max_entries = 2;
-  options.shards = 1;
   BoundCache cache(options);
   cache.put(key_of(1), make_bound(1));
   cache.put(key_of(2), make_bound(2));
@@ -182,7 +181,6 @@ TEST(BoundCacheTest, LruEvictionAtCapacity) {
 
 TEST(BoundCacheTest, NodeBudgetEvictsDownToEmpty) {
   BoundCacheOptions options;
-  options.shards = 1;
   // Far below the process floor: every store must immediately evict back
   // down, degenerating to "cache nothing" (never a spin, never a throw).
   options.max_live_nodes = 1;
@@ -190,6 +188,36 @@ TEST(BoundCacheTest, NodeBudgetEvictsDownToEmpty) {
   cache.put(key_of(1), make_bound(1));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_GE(cache.stats().evicted, 1u);
+}
+
+TEST(BoundCacheTest, MaxEntriesIsAHardCapAcrossKeys) {
+  // The capacity bounds the whole cache, whatever the keys' digests.
+  BoundCacheOptions options;
+  options.max_entries = 2;
+  BoundCache cache(options);
+  for (std::uint64_t i = 1; i <= 8; ++i) cache.put(key_of(i), make_bound(i));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evicted, 6u);
+  EXPECT_TRUE(cache.lookup(key_of(7)).has_value());
+  EXPECT_TRUE(cache.lookup(key_of(8)).has_value());
+}
+
+TEST(BoundCacheTest, NodeBudgetEvictsTheLeastRecentlyUsedFirst) {
+  // Pin the nodes every make_bound shares (N, S, N^2, sqrt(S), ...), so
+  // each further bound adds only its own constant and product nodes.
+  const sdg::MultiStatementBound pinned = make_bound(0);
+  BoundCacheOptions options;
+  options.max_live_nodes = support::live_node_count() + 3;
+  BoundCache cache(options);
+  cache.put(key_of(1), make_bound(1001));
+  ASSERT_EQ(cache.size(), 1u);
+  // Key 2 pushes the gauge past the budget; dropping key 1, the least
+  // recently used entry, brings it back.
+  cache.put(key_of(2), make_bound(1002));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().evicted, 1u);
+  EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
+  EXPECT_TRUE(cache.lookup(key_of(2)).has_value());
 }
 
 // --- Single-flight stress (TSan target) -------------------------------------

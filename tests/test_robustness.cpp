@@ -103,12 +103,21 @@ TEST(ResilientCorpus, SurvivesAThrowingKernelWithPartialResults) {
   KernelEntry exploding;
   exploding.name = "exploding";
   exploding.family = "test";
-  exploding.build = []() -> Program {
-    throw std::runtime_error("synthetic build failure");
+  exploding.source = "for i in range(N):\n  boom[i] = a[i]\n";
+  // Derives every kernel normally except the one writing `boom`.
+  const kernels::DeriveFn derive = [](const Program& program,
+                                      const sdg::SdgOptions& options) {
+    for (const Statement& st : program.statements) {
+      if (st.output.array == "boom") {
+        throw std::runtime_error("synthetic analysis failure");
+      }
+    }
+    return sdg::multi_statement_bound(program, options);
   };
   const std::vector<const KernelEntry*> corpus = {&gemm, &exploding, &atax};
 
-  kernels::CorpusReport report = kernels::analyze_corpus_resilient(corpus);
+  kernels::CorpusReport report =
+      kernels::analyze_corpus_resilient(corpus, {}, derive);
   ASSERT_EQ(report.kernels.size(), 3u);
   // The healthy kernels around the failure keep their exact bounds...
   EXPECT_TRUE(report.kernels[0].ok());
@@ -118,7 +127,7 @@ TEST(ResilientCorpus, SurvivesAThrowingKernelWithPartialResults) {
   // ...and the failure is fully described in its own slot.
   EXPECT_FALSE(report.kernels[1].ok());
   EXPECT_EQ(report.kernels[1].status, support::StatusCode::kInternalError);
-  EXPECT_NE(report.kernels[1].message.find("synthetic build failure"),
+  EXPECT_NE(report.kernels[1].message.find("synthetic analysis failure"),
             std::string::npos);
 
   EXPECT_EQ(report.failed(), 1u);
@@ -126,7 +135,7 @@ TEST(ResilientCorpus, SurvivesAThrowingKernelWithPartialResults) {
   EXPECT_EQ(report.worst_status(), support::StatusCode::kInternalError);
   const std::string summary = report.failure_summary();
   EXPECT_NE(summary.find("exploding"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("synthetic build failure"), std::string::npos)
+  EXPECT_NE(summary.find("synthetic analysis failure"), std::string::npos)
       << summary;
   EXPECT_NE(summary.find("2/3 kernels produced bounds"), std::string::npos)
       << summary;

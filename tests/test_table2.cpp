@@ -85,14 +85,6 @@ TEST(Table2Corpus, RegistryGrowsTheCorpusBeyondTable2) {
   EXPECT_GE(registry.size(), 43u);
   EXPECT_EQ(registry.family("attention").size(), 3u);
   EXPECT_EQ(registry.family("sparse_stencil").size(), 2u);
-  // Families enumerate in rank order, the published blocks first.
-  std::vector<std::string> families = registry.families();
-  ASSERT_GE(families.size(), 5u);
-  EXPECT_EQ(families[0], "polybench");
-  EXPECT_EQ(families[1], "neural");
-  EXPECT_EQ(families[2], "various");
-  EXPECT_EQ(families[3], "attention");
-  EXPECT_EQ(families[4], "sparse_stencil");
 }
 
 TEST(Table2Corpus, ProgramsParseAndAreWellFormed) {
