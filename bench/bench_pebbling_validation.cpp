@@ -75,10 +75,9 @@ int run(const std::vector<ValidationSpec>& specs, std::size_t threads) {
       std::printf("%s (|V| = %zu):\n", specs[i].name, cdags[i].size());
       last_spec = i;
     }
-    std::map<std::string, double> env = {
-        {"S", static_cast<double>(cases[c].S)}};
+    SymMap<double> env = {{"S", static_cast<double>(cases[c].S)}};
     for (const auto& [k, v] : specs[i].params) {
-      env[k] = static_cast<double>(v);
+      env.set(k, static_cast<double>(v));
     }
     double analytic_value = analytic[i] ? analytic[i]->Q.eval(env) : 0.0;
     const pebbles::ScheduleValidation& v = belady[c];

@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -51,8 +50,9 @@ BENCHMARK(BM_NumericallyEqual)->Arg(4)->Arg(64);
 void BM_LeadingTerm(benchmark::State& state) {
   int terms = static_cast<int>(state.range(0));
   Expr e = polynomial_bound(terms);
+  const soap::SymIdSet small({soap::intern_symbol("S")});
   for (auto _ : state) {
-    Expr lead = soap::sym::leading_term_except(e, {"S"});
+    Expr lead = soap::sym::leading_term_except(e, small);
     benchmark::DoNotOptimize(lead);
   }
 }
@@ -61,8 +61,9 @@ BENCHMARK(BM_LeadingTerm)->Arg(4)->Arg(64);
 void BM_SubstituteAndEval(benchmark::State& state) {
   int terms = static_cast<int>(state.range(0));
   Expr e = polynomial_bound(terms);
-  std::map<std::string, double> env{{"S", 1 << 20}};
-  for (const std::string& s : e.symbols()) env.emplace(s, 1e6);
+  soap::SymMap<double> env;
+  for (soap::SymId s : e.symbol_ids()) env.set(s, 1e6);
+  env.set("S", 1 << 20);
   for (auto _ : state) {
     double v = e.eval(env);
     benchmark::DoNotOptimize(v);

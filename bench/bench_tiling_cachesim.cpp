@@ -31,8 +31,8 @@ void sweep(const char* name, const char* src,
                                                static_cast<std::size_t>(S));
     auto tiled = cachesim::measure_statement(p.statements[0], params, tiles,
                                              static_cast<std::size_t>(S));
-    std::map<std::string, double> env = {{"S", static_cast<double>(S)}};
-    for (const auto& [k, v] : params) env[k] = static_cast<double>(v);
+    SymMap<double> env = {{"S", static_cast<double>(S)}};
+    for (const auto& [k, v] : params) env.set(k, static_cast<double>(v));
     double lower = b->Q.eval(env);
     long long tile0 = tiles.begin()->second;
     std::printf("  %6lld | %8lld | %12lld | %12lld | %12lld | %12.0f | %.2fx\n",

@@ -65,6 +65,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -107,7 +108,10 @@ bool parse_cache_sizes(const std::string& csv, std::vector<long long>& out) {
   std::istringstream ss(csv);
   while (std::getline(ss, token, ',')) {
     std::optional<std::size_t> v = soap::support::parse_size_t(token);
-    if (!v || *v == 0) return false;
+    if (!v || *v == 0 ||
+        *v > static_cast<std::size_t>(std::numeric_limits<long long>::max())) {
+      return false;
+    }
     out.push_back(static_cast<long long>(*v));
   }
   return !out.empty();

@@ -101,8 +101,8 @@ std::vector<AttainmentRow> measure_kernel(const kernels::KernelEntry& entry,
     throw std::runtime_error("attainment: no bound for " + entry.name);
   }
   base.degraded = bound->degraded;
-  std::map<std::string, double> env;
-  for (const auto& [k, v] : base.params) env[k] = static_cast<double>(v);
+  SymMap<double> env;
+  for (const auto& [k, v] : base.params) env.set(k, static_cast<double>(v));
 
   // Per-statement tile bounds, S-independent: statements with unbounded
   // single-statement intensity (pure streaming passes) have none and
@@ -116,7 +116,7 @@ std::vector<AttainmentRow> measure_kernel(const kernels::KernelEntry& entry,
   for (long long S : options.cache_sizes) {
     AttainmentRow row = base;
     row.S = S;
-    env["S"] = static_cast<double>(S);
+    env.set("S", static_cast<double>(S));
     row.Q_lb = bound->Q_leading.eval(env);
     // The simulated side: per statement, tile with the optimizer's X0
     // (Section 4.5) where a single-statement bound exists, and measure the

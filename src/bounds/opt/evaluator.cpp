@@ -297,18 +297,15 @@ SolveResult finish_solve(const OptimizationProblem& problem, double X,
     // No feasible scaling from this point.  Distinguish a genuinely
     // infeasible problem (even the all-ones tile busts a budget) from a
     // search that wandered into numeric trouble.
-    const std::vector<double> floor_tiles(n, 1.0);
-    for (const std::string& v : problem.vars) out.optimum.tiles[v] = 1.0;
+    out.optimum.tiles.assign(n, 1.0);
     out.optimum.chi = 0.0;
-    out.code = utilization(problem, floor_tiles, X) > 1.0
+    out.code = utilization(problem, out.optimum.tiles, X) > 1.0
                    ? ResultCode::kInfeasible
                    : ResultCode::kNoConverge;
     out.evaluations = guard != nullptr ? guard->ticks : 0;
     return out;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    out.optimum.tiles[problem.vars[i]] = tiles[i];
-  }
+  out.optimum.tiles = std::move(tiles);
   out.optimum.chi = std::exp(logf);
   const bool finite =
       std::isfinite(out.optimum.chi) && out.optimum.chi > 0.0;

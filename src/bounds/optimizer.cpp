@@ -317,9 +317,8 @@ std::optional<ChiForm> derive_chi(const OptimizationProblem& problem,
   }
   const double c_num = best.chi / std::pow(X, form.alpha.to_double());
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string& v = problem.vars[i];
-    form.tile_coeffs[v] =
-        best.tiles.at(v) / std::pow(X, exponents[i].to_double());
+    form.tile_coeffs[problem.vars[i]] =
+        best.tiles[i] / std::pow(X, exponents[i].to_double());
   }
 
   // --- asymptotic GP refinement: machine-precision constant when the

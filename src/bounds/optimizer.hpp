@@ -65,7 +65,7 @@ struct OptimizationProblem {
 
 /// Result of one numeric solve at a concrete X.
 struct NumericOptimum {
-  std::map<std::string, double> tiles;
+  std::vector<double> tiles;  ///< tile sizes in OptimizationProblem::vars order
   double chi = 0.0;
 };
 

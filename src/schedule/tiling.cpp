@@ -18,10 +18,10 @@ namespace {
 /// which computes the *minimum* extent — a triangular loop
 /// `for j in range(i)` degenerated to extent 1 and its tile clamped to 1
 /// for every S.
-long long max_extent(const std::vector<Loop>& loops, std::size_t depth,
-                     const std::map<std::string, Rational>& params) {
+long long max_extent(const std::vector<Loop>& loops,
+                     const std::vector<SymId>& vars, std::size_t depth,
+                     SymMap<Rational> env) {
   long long best = 1;
-  std::map<std::string, Rational> env = params;
   std::function<void(std::size_t)> walk = [&](std::size_t d) {
     if (d == depth) {
       Rational lo = loops[depth].lower.eval(env);
@@ -34,10 +34,10 @@ long long max_extent(const std::vector<Loop>& loops, std::size_t depth,
     // Probe both endpoints of the outer variable's range (hi - 1 can fall
     // below lo for degenerate ranges; the extent below clamps at 1).
     for (const Rational& v : {lo, hi - Rational(1)}) {
-      env[loops[d].var] = v;
+      env.set(vars[d], v);
       walk(d + 1);
     }
-    env.erase(loops[d].var);
+    env.erase(vars[d]);
   };
   walk(0);
   return best;
@@ -48,13 +48,15 @@ long long max_extent(const std::vector<Loop>& loops, std::size_t depth,
 std::map<std::string, long long> concrete_tiles(
     const Statement& st, const bounds::IoLowerBound& bound, long long S,
     const std::map<std::string, long long>& params) {
-  std::map<std::string, Rational> env;
-  for (const auto& [k, v] : params) env[k] = Rational(v);
-  std::map<std::string, long long> out;
+  SymMap<Rational> env;
+  for (const auto& [k, v] : params) env.set(k, Rational(v));
   const std::vector<Loop>& loops = st.domain.loops();
+  std::vector<SymId> vars;
+  for (const Loop& loop : loops) vars.push_back(intern_symbol(loop.var));
+  std::map<std::string, long long> out;
   for (std::size_t d = 0; d < loops.size(); ++d) {
     const Loop& loop = loops[d];
-    long long extent = max_extent(loops, d, env);
+    long long extent = max_extent(loops, vars, d, env);
     auto it = bound.tiles.find(loop.var);
     if (it == bound.tiles.end()) {
       out[loop.var] = extent;

@@ -22,10 +22,6 @@ Rational Affine::coeff(SymId var) const {
   return c == nullptr ? Rational(0) : *c;
 }
 
-Rational Affine::coeff(const std::string& var) const {
-  return coeff(intern_symbol(var));
-}
-
 std::vector<std::string> Affine::variables() const {
   std::vector<std::string> out;
   out.reserve(coeffs_.size());
@@ -73,12 +69,6 @@ Rational Affine::eval(const SymMap<Rational>& env) const {
     r += c * *bound;
   }
   return r;
-}
-
-Rational Affine::eval(const std::map<std::string, Rational>& env) const {
-  SymMap<Rational> ids;
-  for (const auto& [name, v] : env) ids.set(intern_symbol(name), v);
-  return eval(ids);
 }
 
 std::string Affine::str() const {

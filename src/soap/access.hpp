@@ -3,7 +3,6 @@
 // vectors and access-offset sets.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,8 +15,8 @@ namespace soap {
 
 /// An affine form  c0 + sum_i c_i * var_i  over iteration variables and
 /// program parameters.  Used for array subscripts and loop bounds.
-/// Variables are interned SymIds internally; the string API is a thin
-/// convenience layer.
+/// Variables are interned SymIds; a name becomes one only in
+/// Affine::variable(name).
 class Affine {
  public:
   Affine() = default;
@@ -30,7 +29,6 @@ class Affine {
   /// SymId-keyed coefficients (iteration order: SymId, not name).
   [[nodiscard]] const SymMap<Rational>& coeffs() const { return coeffs_; }
   [[nodiscard]] Rational coeff(SymId var) const;
-  [[nodiscard]] Rational coeff(const std::string& var) const;
   [[nodiscard]] bool is_constant() const { return coeffs_.empty(); }
   /// Variables with non-zero coefficient, sorted by name.
   [[nodiscard]] std::vector<std::string> variables() const;
@@ -45,7 +43,6 @@ class Affine {
   }
 
   [[nodiscard]] Rational eval(const SymMap<Rational>& env) const;
-  [[nodiscard]] Rational eval(const std::map<std::string, Rational>& env) const;
   [[nodiscard]] std::string str() const;
 
  private:

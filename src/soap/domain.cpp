@@ -37,7 +37,7 @@ sym::Polynomial Domain::cardinality() const {
   for (auto it = loops_.rbegin(); it != loops_.rend(); ++it) {
     sym::Polynomial lo = affine_to_polynomial(it->lower);
     sym::Polynomial hi = affine_to_polynomial(it->upper) - sym::Polynomial(1);
-    acc = sym::sum_over(acc, it->var, lo, hi);
+    acc = sym::sum_over(acc, intern_symbol(it->var), lo, hi);
   }
   return acc;
 }

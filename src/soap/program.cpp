@@ -36,7 +36,7 @@ void check_access(const Statement& st, const ArrayAccess& acc,
                         "iteration variable '" + v +
                             "' indexes several dimensions (non-injective)"});
       }
-      if (idx.coeff(v).abs() != Rational(1)) {
+      if (idx.coeff(intern_symbol(v)).abs() != Rational(1)) {
         out->push_back({st.name, acc.array,
                         "non-unit stride on '" + v +
                             "' (Section 5.3 overlap bound applies)"});

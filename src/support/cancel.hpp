@@ -108,19 +108,27 @@ class CancellationSource {
 };
 
 /// Wall-clock deadline on steady_clock.  Default-constructed deadlines
-/// never expire.
+/// never expire, and neither do budgets past the clock's range: they
+/// saturate at time_point::max() instead of overflowing.
 class Deadline {
  public:
   Deadline() = default;
 
   [[nodiscard]] static Deadline after(std::chrono::nanoseconds budget) {
+    using Clock = std::chrono::steady_clock;
     Deadline d;
     d.armed_ = true;
-    d.at_ = std::chrono::steady_clock::now() + budget;
+    const Clock::time_point now = Clock::now();
+    d.at_ = budget >= Clock::time_point::max() - now
+                ? Clock::time_point::max()
+                : now + budget;
     return d;
   }
   [[nodiscard]] static Deadline after_ms(std::size_t ms) {
-    return after(std::chrono::milliseconds(ms));
+    using std::chrono::nanoseconds;
+    constexpr std::size_t kMaxMs = nanoseconds::max().count() / 1'000'000;
+    return after(ms > kMaxMs ? nanoseconds::max()
+                             : nanoseconds(std::chrono::milliseconds(ms)));
   }
 
   [[nodiscard]] bool armed() const noexcept { return armed_; }

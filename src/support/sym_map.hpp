@@ -32,6 +32,10 @@ class SymMap {
   SymMap(std::initializer_list<value_type> init) {
     for (const value_type& kv : init) set(kv.first, kv.second);
   }
+  /// Name-keyed literal, e.g. `e.eval({{"N", 2.0}})`: interns each name.
+  SymMap(std::initializer_list<std::pair<std::string_view, V>> init) {
+    for (const auto& kv : init) set(kv.first, kv.second);
+  }
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }

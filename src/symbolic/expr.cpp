@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <mutex>
 #include <ostream>
 #include <shared_mutex>
@@ -831,12 +832,6 @@ double Expr::eval(const SymMap<double>& env) const {
   return eval_impl(*this, env, &memo);
 }
 
-double Expr::eval(const std::map<std::string, double>& env) const {
-  SymMap<double> ids;
-  for (const auto& [name, v] : env) ids.set(intern_symbol(name), v);
-  return eval(ids);
-}
-
 namespace {
 
 /// True when the node's cached symbol set intersects the env's key set
@@ -921,12 +916,6 @@ Expr Expr::subs(const SymMap<Expr>& env) const {
   return subs_impl(*this, env, env_mask, &memo);
 }
 
-Expr Expr::subs(const std::map<std::string, Expr>& env) const {
-  SymMap<Expr> ids;
-  for (const auto& [name, e] : env) ids.set(intern_symbol(name), e);
-  return subs(ids);
-}
-
 namespace {
 
 Expr diff_impl(const Expr& e, SymId var,
@@ -993,10 +982,6 @@ Expr Expr::diff(SymId var) const {
   return diff_impl(*this, var, &memo);
 }
 
-Expr Expr::diff(const std::string& var) const {
-  return diff(intern_symbol(var));
-}
-
 std::vector<std::string> Expr::symbols() const {
   std::vector<std::string> out;
   out.reserve(node_->symbol_ids.size());
@@ -1009,10 +994,6 @@ bool Expr::contains(SymId var) const {
   const Node& n = *node_;
   if ((n.sym_mask & (1ULL << (var.value & 63u))) == 0) return false;
   return std::binary_search(n.symbol_ids.begin(), n.symbol_ids.end(), var);
-}
-
-bool Expr::contains(const std::string& var) const {
-  return contains(intern_symbol(var));
 }
 
 namespace {
@@ -1224,8 +1205,7 @@ std::ostream& operator<<(std::ostream& os, const Expr& e) {
 bool numerically_equal(const Expr& a, const Expr& b,
                        const NumericEqualityOptions& options) {
   // Union of the two cached symbol sets, ordered by *name* so the sample
-  // assignments reproduce the historical string-based implementation bit for
-  // bit (and stay stable across runs regardless of intern order).
+  // assignments do not depend on intern order (stable across runs).
   const auto a_ids = a.symbol_ids();
   const auto b_ids = b.symbol_ids();
   std::vector<SymId> ids(a_ids.begin(), a_ids.end());

@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -127,18 +126,15 @@ class Expr {
   /// Numeric evaluation, memoized on shared subtrees.
   /// Missing symbols throw std::out_of_range.
   [[nodiscard]] double eval(const SymMap<double>& env) const;
-  [[nodiscard]] double eval(const std::map<std::string, double>& env) const;
 
   /// Substitute symbols by expressions (simultaneous), memoized on shared
   /// subtrees; subtrees not mentioning any bound symbol are returned as-is.
   [[nodiscard]] Expr subs(const SymMap<Expr>& env) const;
-  [[nodiscard]] Expr subs(const std::map<std::string, Expr>& env) const;
 
   /// Derivative with respect to `var`.  Min/Max subtrees containing `var`
   /// throw std::domain_error; subtrees free of `var` (min/max included)
   /// differentiate to 0 via the cached symbol sets.
   [[nodiscard]] Expr diff(SymId var) const;
-  [[nodiscard]] Expr diff(const std::string& var) const;
 
   /// Sorted distinct SymIds occurring in the expression (cached per node;
   /// O(1) view, sorted by SymId — *not* by name).
@@ -147,7 +143,6 @@ class Expr {
   [[nodiscard]] std::vector<std::string> symbols() const;
   /// O(log #symbols) via the per-node symbol cache.
   [[nodiscard]] bool contains(SymId var) const;
-  [[nodiscard]] bool contains(const std::string& var) const;
 
   /// Human-readable rendering, e.g. "2*N^3/sqrt(S)".
   [[nodiscard]] std::string str() const;

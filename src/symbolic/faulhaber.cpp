@@ -38,10 +38,6 @@ Polynomial power_sum(int k, SymId n) {
   return s[static_cast<std::size_t>(k)];
 }
 
-Polynomial power_sum(int k, const std::string& n) {
-  return power_sum(k, intern_symbol(n));
-}
-
 Polynomial sum_over(const Polynomial& p, SymId var, const Polynomial& lo,
                     const Polynomial& hi) {
   static const SymId aux = intern_symbol("__faulhaber_n");
@@ -58,11 +54,6 @@ Polynomial sum_over(const Polynomial& p, SymId var, const Polynomial& lo,
     out += coeffs[k] * (at_hi - at_lo);
   }
   return out;
-}
-
-Polynomial sum_over(const Polynomial& p, const std::string& var,
-                    const Polynomial& lo, const Polynomial& hi) {
-  return sum_over(p, intern_symbol(var), lo, hi);
 }
 
 }  // namespace soap::sym

@@ -3,8 +3,6 @@
 // |D| for loop nests with affine bounds.
 #pragma once
 
-#include <string>
-
 #include "support/interner.hpp"
 #include "symbolic/polynomial.hpp"
 
@@ -13,7 +11,6 @@ namespace soap::sym {
 /// power_sum(k): S_k(n) = sum_{i=1}^{n} i^k as a univariate polynomial in the
 /// variable `n`.  Exact (Bernoulli-free recurrence).
 Polynomial power_sum(int k, SymId n);
-Polynomial power_sum(int k, const std::string& n);
 
 /// sum_{var = lo}^{hi} p(var, ...) as a polynomial in the remaining variables
 /// (and whatever appears in lo/hi).  The identity used is
@@ -21,7 +18,5 @@ Polynomial power_sum(int k, const std::string& n);
 /// hi >= lo - 1 pointwise (the usual non-empty-or-empty loop convention).
 Polynomial sum_over(const Polynomial& p, SymId var, const Polynomial& lo,
                     const Polynomial& hi);
-Polynomial sum_over(const Polynomial& p, const std::string& var,
-                    const Polynomial& lo, const Polynomial& hi);
 
 }  // namespace soap::sym

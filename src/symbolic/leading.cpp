@@ -40,13 +40,6 @@ Rational term_degree(const Expr& term, const SymIdSet& syms) {
   throw std::logic_error("term_degree: bad kind");
 }
 
-Rational term_degree(const Expr& term, const std::vector<std::string>& syms) {
-  std::vector<SymId> ids;
-  ids.reserve(syms.size());
-  for (const std::string& s : syms) ids.push_back(intern_symbol(s));
-  return term_degree(term, SymIdSet::from_unsorted(std::move(ids)));
-}
-
 Expr leading_term(const Expr& e, const SymIdSet& syms) {
   Expr x = expand(e);
   if (x.kind() != Kind::kAdd) return x;
@@ -59,27 +52,12 @@ Expr leading_term(const Expr& e, const SymIdSet& syms) {
   return make_add(std::move(keep));
 }
 
-Expr leading_term(const Expr& e, const std::vector<std::string>& syms) {
-  std::vector<SymId> ids;
-  ids.reserve(syms.size());
-  for (const std::string& s : syms) ids.push_back(intern_symbol(s));
-  return leading_term(e, SymIdSet::from_unsorted(std::move(ids)));
-}
-
 Expr leading_term_except(const Expr& e, const SymIdSet& small) {
   std::vector<SymId> ids;
   for (SymId id : e.symbol_ids()) {
     if (!small.contains(id)) ids.push_back(id);
   }
   return leading_term(e, SymIdSet(std::move(ids)));  // already sorted
-}
-
-Expr leading_term_except(const Expr& e,
-                         const std::vector<std::string>& small) {
-  std::vector<SymId> ids;
-  ids.reserve(small.size());
-  for (const std::string& s : small) ids.push_back(intern_symbol(s));
-  return leading_term_except(e, SymIdSet::from_unsorted(std::move(ids)));
 }
 
 }  // namespace soap::sym

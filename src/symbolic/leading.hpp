@@ -3,13 +3,9 @@
 // total degree in the program-size parameters (N, M, T, ...) with the fast
 // memory size S treated as a fixed parameter.
 //
-// The SymIdSet overloads are the hot path (per-node symbol caches + bloom
-// masks make degree queries cheap); the string overloads are convenience
-// wrappers for the frontend and tests.
+// Symbol sets are SymIdSets: the per-node symbol caches and bloom masks
+// make degree queries cheap.
 #pragma once
-
-#include <string>
-#include <vector>
 
 #include "support/sym_map.hpp"
 #include "symbolic/expr.hpp"
@@ -19,15 +15,12 @@ namespace soap::sym {
 /// Total degree of a (canonical, non-Add) term in the given symbols.
 /// E.g. degree of 2*N^3/sqrt(S) in {N} is 3; in {N, S} it is 5/2.
 Rational term_degree(const Expr& term, const SymIdSet& syms);
-Rational term_degree(const Expr& term, const std::vector<std::string>& syms);
 
 /// Expands `e` and keeps only the summands of maximal total degree in `syms`
 /// (ties are summed).  Symbols not listed (typically S) count as degree 0.
 Expr leading_term(const Expr& e, const SymIdSet& syms);
-Expr leading_term(const Expr& e, const std::vector<std::string>& syms);
 
 /// Convenience: leading term w.r.t. every symbol except those in `small`.
 Expr leading_term_except(const Expr& e, const SymIdSet& small);
-Expr leading_term_except(const Expr& e, const std::vector<std::string>& small);
 
 }  // namespace soap::sym

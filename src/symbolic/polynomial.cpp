@@ -100,10 +100,6 @@ int Polynomial::degree(SymId var) const {
   return d;
 }
 
-int Polynomial::degree(const std::string& var) const {
-  return degree(intern_symbol(var));
-}
-
 int Polynomial::total_degree() const {
   if (terms_.empty()) return -1;
   int d = 0;
@@ -125,13 +121,6 @@ Polynomial Polynomial::subs(const SymMap<Polynomial>& env) const {
   return out;
 }
 
-Polynomial Polynomial::subs(
-    const std::map<std::string, Polynomial>& env) const {
-  SymMap<Polynomial> ids;
-  for (const auto& [name, p] : env) ids.set(intern_symbol(name), p);
-  return subs(ids);
-}
-
 std::vector<Polynomial> Polynomial::coefficients_of(SymId var) const {
   std::vector<Polynomial> out(static_cast<std::size_t>(degree(var)) + 1);
   for (const auto& [m, c] : terms_) {
@@ -149,11 +138,6 @@ std::vector<Polynomial> Polynomial::coefficients_of(SymId var) const {
     out[static_cast<std::size_t>(k)] += piece;
   }
   return out;
-}
-
-std::vector<Polynomial> Polynomial::coefficients_of(
-    const std::string& var) const {
-  return coefficients_of(intern_symbol(var));
 }
 
 Polynomial Polynomial::leading_terms() const {
@@ -183,10 +167,9 @@ Expr Polynomial::to_expr() const {
   return make_add(std::move(terms));
 }
 
-double Polynomial::eval(const std::map<std::string, double>& env) const {
-  // Via the canonical Expr, like the pre-SymId implementation: keeps the
-  // floating-point evaluation order (and thus rounding) bit-identical for
-  // the string-based callers, which the golden tests pin with DOUBLE_EQ.
+double Polynomial::eval(const SymMap<double>& env) const {
+  // Via the canonical Expr: the floating-point evaluation order (and thus
+  // rounding) is Expr::eval's, which the golden tests pin with DOUBLE_EQ.
   return to_expr().eval(env);
 }
 

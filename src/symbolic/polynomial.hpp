@@ -7,8 +7,9 @@
 // Faulhaber's formula (src/symbolic/faulhaber.*).
 //
 // Variables are interned SymIds (support/interner.hpp): monomial comparison
-// is integer-lexicographic, and the string-based API is a thin convenience
-// layer over the SymId core.
+// is integer-lexicographic.  A name becomes a SymId only in
+// Polynomial::variable(name); every lookup, substitution and evaluation
+// takes SymIds.
 #pragma once
 
 #include <map>
@@ -52,20 +53,15 @@ class Polynomial {
 
   /// Degree in a single variable.
   [[nodiscard]] int degree(SymId var) const;
-  [[nodiscard]] int degree(const std::string& var) const;
   /// Total degree across all variables (0 for constants; -1 for zero).
   [[nodiscard]] int total_degree() const;
 
   /// Simultaneous substitution of variables by polynomials.
   [[nodiscard]] Polynomial subs(const SymMap<Polynomial>& env) const;
-  [[nodiscard]] Polynomial subs(
-      const std::map<std::string, Polynomial>& env) const;
 
   /// Coefficients of powers of `var`: result[k] is the coefficient polynomial
   /// of var^k (in the remaining variables). result.size() == degree(var)+1.
   [[nodiscard]] std::vector<Polynomial> coefficients_of(SymId var) const;
-  [[nodiscard]] std::vector<Polynomial> coefficients_of(
-      const std::string& var) const;
 
   /// Keep only the terms of maximal total degree (the leading-order part in
   /// the "all parameters large" regime used by Table 2).
@@ -74,7 +70,7 @@ class Polynomial {
   /// Convert to a symbolic expression.
   [[nodiscard]] Expr to_expr() const;
 
-  [[nodiscard]] double eval(const std::map<std::string, double>& env) const;
+  [[nodiscard]] double eval(const SymMap<double>& env) const;
 
   [[nodiscard]] const std::map<Monomial, Rational>& terms() const {
     return terms_;

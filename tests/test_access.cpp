@@ -6,6 +6,7 @@
 
 #include "soap/program.hpp"
 #include "soap/projection.hpp"
+#include "symbolic/expr.hpp"
 
 namespace soap {
 namespace {
@@ -18,7 +19,7 @@ TEST(Affine, Arithmetic) {
   EXPECT_TRUE(b.is_constant());
   EXPECT_EQ(b.constant(), Rational(2));
   Affine scaled = Rational(3) * (var("i") + Affine(1));
-  EXPECT_EQ(scaled.coeff("i"), Rational(3));
+  EXPECT_EQ(scaled.coeff(intern_symbol("i")), Rational(3));
   EXPECT_EQ(scaled.constant(), Rational(3));
 }
 
@@ -28,6 +29,28 @@ TEST(Affine, EvalAndStr) {
   EXPECT_THROW(testing::sink(a.eval({{"i", Rational(1)}})), std::out_of_range);
   EXPECT_EQ(a.str(), "i - j + 1");
   EXPECT_EQ(Affine(0).str(), "0");
+}
+
+TEST(SymbolKeys, NameLiteralsAndSymIdLookupsAgree) {
+  // A name becomes a SymId in the name constructors and in the name-keyed
+  // SymMap literal; every lookup takes the SymId.
+  const SymId i = intern_symbol("i");
+  const SymId j = intern_symbol("j");
+  const SymId k = intern_symbol("k");
+  const SymMap<Rational> by_name = {{"j", Rational(2)}, {"i", Rational(5)}};
+  EXPECT_EQ(by_name, (SymMap<Rational>{{i, Rational(5)}, {j, Rational(2)}}));
+  const Affine a = Rational(3) * var("i") - var("j");
+  EXPECT_EQ(a.coeff(i), Rational(3));
+  EXPECT_EQ(a.coeff(j), Rational(-1));
+  EXPECT_EQ(a.coeff(k), Rational(0));
+  EXPECT_EQ(a.eval(by_name), Rational(13));
+  const sym::Expr x = sym::Expr::symbol("i");
+  const sym::Expr e = x * x * sym::Expr::symbol(j);
+  EXPECT_TRUE(e.contains(i));
+  EXPECT_FALSE(e.contains(k));
+  EXPECT_EQ(e.diff(i), sym::Expr(2) * x * sym::Expr::symbol("j"));
+  EXPECT_TRUE(e.diff(k).is_zero());
+  EXPECT_DOUBLE_EQ(e.eval({{"i", 5.0}, {"j", 2.0}}), 50.0);
 }
 
 TEST(SimpleOverlap, DetectsConstantTranslations) {

@@ -32,7 +32,7 @@ long long brute_force_access_count(
     const std::map<std::string, long long>& tile) {
   std::set<std::vector<long long>> seen;
   std::vector<std::string> vars = st.domain.variables();
-  std::map<std::string, Rational> env;
+  SymMap<Rational> env;
   std::function<void(std::size_t)> rec = [&](std::size_t depth) {
     if (depth == vars.size()) {
       for (const ArrayAccess& in : st.inputs) {
@@ -48,7 +48,7 @@ long long brute_force_access_count(
       return;
     }
     for (long long v = 0; v < tile.at(vars[depth]); ++v) {
-      env[vars[depth]] = Rational(v);
+      env.set(vars[depth], Rational(v));
       rec(depth + 1);
     }
   };

@@ -216,8 +216,8 @@ TEST(AttainmentClamp, TinyCacheClampsTilesToOne) {
   }
   auto m = cachesim::measure_statement(p.statements[0], params, tiles, 1);
   EXPECT_EQ(m.trace_length, 4u * 8 * 8 * 8);  // tiling must not drop points
-  std::map<std::string, double> env = {{"S", 1.0}, {"N", 8.0}};
-  EXPECT_LE(bound->Q.eval(env), static_cast<double>(m.belady.io()) + 1e-6);
+  EXPECT_LE(bound->Q.eval({{"S", 1.0}, {"N", 8.0}}),
+            static_cast<double>(m.belady.io()) + 1e-6);
 }
 
 // S = 0 must not crash the simulators (regression: LRU evicted from an

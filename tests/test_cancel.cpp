@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 
@@ -84,6 +85,14 @@ TEST(Deadline, ZeroBudgetExpiresImmediatelyLongBudgetDoesNot) {
   Deadline far = Deadline::after(std::chrono::hours(1));
   EXPECT_TRUE(far.armed());
   EXPECT_FALSE(far.expired());
+}
+
+TEST(Deadline, BudgetsPastTheClockRangeNeverExpire) {
+  // 10^13 ms (~317 years) overflows a nanosecond count, and SIZE_MAX
+  // overflows the millisecond count itself: both saturate instead.
+  EXPECT_FALSE(Deadline::after_ms(10'000'000'000'000).expired());
+  EXPECT_FALSE(Deadline::after_ms(SIZE_MAX).expired());
+  EXPECT_FALSE(Deadline::after(std::chrono::nanoseconds::max()).expired());
 }
 
 TEST(ResourceBudget, ZeroMeansUnlimited) {

@@ -9,9 +9,7 @@ namespace {
 
 Affine var(const char* v) { return Affine::variable(v); }
 
-long long brute_force_count(const Domain& d,
-                            const std::map<std::string, Rational>& params) {
-  std::map<std::string, Rational> env = params;
+long long brute_force_count(const Domain& d, SymMap<Rational> env) {
   std::function<long long(std::size_t)> rec =
       [&](std::size_t depth) -> long long {
     if (depth == d.loops().size()) return 1;
@@ -19,11 +17,12 @@ long long brute_force_count(const Domain& d,
     long long lo = static_cast<long long>(l.lower.eval(env).floor());
     long long hi = static_cast<long long>(l.upper.eval(env).floor());
     long long total = 0;
+    const SymId var = intern_symbol(l.var);
     for (long long v = lo; v < hi; ++v) {
-      env[l.var] = Rational(v);
+      env.set(var, Rational(v));
       total += rec(depth + 1);
     }
-    env.erase(l.var);
+    env.erase(var);
     return total;
   };
   return rec(0);
@@ -44,7 +43,7 @@ class DomainCardinality : public ::testing::TestWithParam<long long> {};
 
 TEST_P(DomainCardinality, MatchesBruteForceEnumeration) {
   long long n = GetParam();
-  std::map<std::string, Rational> params = {{"N", Rational(n)}};
+  const SymMap<Rational> params = {{"N", Rational(n)}};
   std::vector<Domain> shapes = {
       Domain({{"i", 0, var("N")}}),
       Domain({{"i", 0, var("N")}, {"j", 0, var("i")}}),

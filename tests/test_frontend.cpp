@@ -97,8 +97,8 @@ TEST(Lower, AffineSubscripts) {
   Program p = parse_program(
       "for i in range(N):\n  for j in range(N):\n    b[i] = a[2*i - j + 3]\n");
   const Affine& idx = p.statements[0].inputs[0].components[0].index[0];
-  EXPECT_EQ(idx.coeff("i"), Rational(2));
-  EXPECT_EQ(idx.coeff("j"), Rational(-1));
+  EXPECT_EQ(idx.coeff(intern_symbol("i")), Rational(2));
+  EXPECT_EQ(idx.coeff(intern_symbol("j")), Rational(-1));
   EXPECT_EQ(idx.constant(), Rational(3));
 }
 
@@ -195,8 +195,10 @@ TEST(Lower, DataDependentGatherCollapsesAndChargesIndexArray) {
   ASSERT_TRUE(st.reads("x"));
   const ArrayAccess* colind = st.input_for("colind");
   ASSERT_EQ(colind->components.size(), 1u);
-  EXPECT_EQ(colind->components[0].index[0].coeff("i"), Rational(1));
-  EXPECT_EQ(colind->components[0].index[1].coeff("k"), Rational(1));
+  EXPECT_EQ(colind->components[0].index[0].coeff(intern_symbol("i")),
+            Rational(1));
+  EXPECT_EQ(colind->components[0].index[1].coeff(intern_symbol("k")),
+            Rational(1));
   const ArrayAccess* x = st.input_for("x");
   ASSERT_EQ(x->components.size(), 1u);
   ASSERT_EQ(x->components[0].index.size(), 1u);

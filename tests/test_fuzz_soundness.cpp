@@ -112,8 +112,8 @@ void check_sound(const std::string& source,
   }
   auto bound = bounds::single_statement_bound(p.statements[0]);
   if (!bound) return;  // unbounded reuse: nothing to check
-  std::map<std::string, double> env = {{"S", static_cast<double>(S)}};
-  for (const auto& [k, v] : params) env[k] = static_cast<double>(v);
+  SymMap<double> env = {{"S", static_cast<double>(S)}};
+  for (const auto& [k, v] : params) env.set(k, static_cast<double>(v));
   double analytic = bound->Q.eval(env);
   // A concrete execution in the natural order with offline-optimal
   // replacement is a valid pebbling: its I/O upper-bounds the optimum.
@@ -172,8 +172,8 @@ void check_random_tiling_sound(Rng& rng, const std::string& source,
   check_tiling_preserves_accesses(st, params, tiles);
   auto bound = bounds::single_statement_bound(st);
   if (!bound) return;  // unbounded reuse: nothing to check
-  std::map<std::string, double> env = {{"S", static_cast<double>(S)}};
-  for (const auto& [k, v] : params) env[k] = static_cast<double>(v);
+  SymMap<double> env = {{"S", static_cast<double>(S)}};
+  for (const auto& [k, v] : params) env.set(k, static_cast<double>(v));
   auto m = cachesim::measure_statement(st, params, tiles, S);
   EXPECT_LE(bound->Q.eval(env), static_cast<double>(m.belady.io()) + 1e-6)
       << source << "with random tiles at S=" << S;

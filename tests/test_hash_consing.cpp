@@ -206,8 +206,8 @@ TEST(HashConsing, EvictionRaceUnderChurn) {
 TEST(HashConsing, CachedSymbolSets) {
   Expr e = N() * S() + Expr::symbol("T3") * N();
   EXPECT_TRUE(e.contains(intern_symbol("T3")));
-  EXPECT_TRUE(e.contains("N"));
-  EXPECT_FALSE(e.contains("hc_not_there"));
+  EXPECT_TRUE(e.contains(intern_symbol("N")));
+  EXPECT_FALSE(e.contains(intern_symbol("hc_not_there")));
   EXPECT_EQ(e.symbol_ids().size(), 3u);
   // symbols() reports names sorted by name regardless of intern order.
   std::vector<std::string> names = e.symbols();
@@ -230,8 +230,8 @@ TEST(MemoizedRewriters, SubsOnSharedDag) {
   // Substituting S -> 3 touches every level once; without node-identity
   // memoization this walk would be ~2^24 visits.
   Expr sub = x.subs({{"S", Expr(3)}});
-  EXPECT_FALSE(sub.contains("S"));
-  EXPECT_TRUE(sub.contains("N"));
+  EXPECT_FALSE(sub.contains(intern_symbol("S")));
+  EXPECT_TRUE(sub.contains(intern_symbol("N")));
   // Spot-check semantics on a small instance of the same shape.
   Expr small = dag_tower(N() + S(), 2);
   EXPECT_EQ(small.subs({{"S", Expr(3)}}), dag_tower(N() + Expr(3), 2));
@@ -245,19 +245,19 @@ TEST(MemoizedRewriters, SubsLeavesUntouchedSubtreesAlone) {
 
 TEST(MemoizedRewriters, DiffOnSharedDag) {
   Expr x = dag_tower(N(), 16);
-  Expr d = x.diff("N");
+  Expr d = x.diff(intern_symbol("N"));
   // d/dN of the tower is huge but the computation must terminate quickly;
   // check the derivative at a point against a numeric difference quotient
   // on a small instance.
-  EXPECT_TRUE(d.contains("N"));
+  EXPECT_TRUE(d.contains(intern_symbol("N")));
   Expr small = dag_tower(N(), 3);
-  Expr ds = small.diff("N");
+  Expr ds = small.diff(intern_symbol("N"));
   double n0 = 1.25, h = 1e-6;
   double num = (small.eval({{"N", n0 + h}}) - small.eval({{"N", n0 - h}})) /
                (2 * h);
   EXPECT_NEAR(ds.eval({{"N", n0}}), num, 1e-3);
   // Derivative by unused symbol short-circuits through the symbol cache.
-  EXPECT_TRUE(x.diff("hc_unused").is_zero());
+  EXPECT_TRUE(x.diff(intern_symbol("hc_unused")).is_zero());
 }
 
 TEST(MemoizedRewriters, EvalOnSharedDag) {

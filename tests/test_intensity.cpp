@@ -52,7 +52,7 @@ TEST(MinimizeIntensity, AgreesWithSymbolicDerivativeRoot) {
     IntensityResult r = minimize_intensity(chi);
     Expr X = Expr::symbol("X");
     Expr rho_fn = sym::pow(X, a) / (X - Expr::symbol("S"));
-    Expr d = rho_fn.diff("X");
+    Expr d = rho_fn.diff(intern_symbol("X"));
     double s = 1e6;
     double x0 = r.X0.eval({{"S", s}});
     EXPECT_NEAR(d.eval({{"X", x0}, {"S", s}}), 0.0, 1e-9) << a.str();

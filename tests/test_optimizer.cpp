@@ -133,9 +133,8 @@ for i in range(N):
 )");
   double X = 3e4;
   NumericOptimum opt = solve_default(p, X);
-  const std::vector<double> x = tile_point(p.vars, opt.tiles);
   double used = 0;
-  for (const AccessTerm& t : p.sum_terms) used += t.eval(x);
+  for (const AccessTerm& t : p.sum_terms) used += t.eval(opt.tiles);
   EXPECT_LE(used, X * (1.0 + 1e-6));
   // chi(X) = (X/3)^{3/2} for gemm.
   EXPECT_NEAR(opt.chi, std::pow(X / 3.0, 1.5), 0.01 * std::pow(X / 3.0, 1.5));
@@ -151,7 +150,7 @@ for i in range(N):
   ASSERT_EQ(p.single_terms.size(), 1u);
   double X = 1e4;
   NumericOptimum opt = solve_default(p, X);
-  EXPECT_LE(p.single_terms[0].eval(tile_point(p.vars, opt.tiles)),
+  EXPECT_LE(p.single_terms[0].eval(opt.tiles),
             X * (1.0 + 1e-6));
   EXPECT_NEAR(opt.chi, X, 0.02 * X);  // chi ~ X (output-bound)
 }
@@ -372,7 +371,7 @@ TEST(OptimizerBackend, IterationStarvationSurfacesNoConverge) {
         << opt::backend_name(kind);
     // The best-so-far point is still populated and feasible.
     EXPECT_GT(result.optimum.chi, 0.0) << opt::backend_name(kind);
-    EXPECT_LE(budget_use(p, tile_point(p.vars, result.optimum.tiles)),
+    EXPECT_LE(budget_use(p, result.optimum.tiles),
               3e4 * (1.0 + 1e-6))
         << opt::backend_name(kind);
   }

@@ -19,8 +19,8 @@ TEST(Polynomial, Arithmetic) {
 
 TEST(Polynomial, Degrees) {
   Polynomial p = n() * n() * Polynomial::variable("m") + n();
-  EXPECT_EQ(p.degree("n"), 2);
-  EXPECT_EQ(p.degree("m"), 1);
+  EXPECT_EQ(p.degree(intern_symbol("n")), 2);
+  EXPECT_EQ(p.degree(intern_symbol("m")), 1);
   EXPECT_EQ(p.total_degree(), 3);
   EXPECT_EQ(Polynomial(5).total_degree(), 0);
   EXPECT_EQ(Polynomial().total_degree(), -1);
@@ -35,7 +35,7 @@ TEST(Polynomial, Substitution) {
 TEST(Polynomial, CoefficientsOf) {
   Polynomial m = Polynomial::variable("m");
   Polynomial p = n() * n() * m + n() * Polynomial(3) + Polynomial(7);
-  auto cs = p.coefficients_of("n");
+  auto cs = p.coefficients_of(intern_symbol("n"));
   ASSERT_EQ(cs.size(), 3u);
   EXPECT_EQ(cs[0], Polynomial(7));
   EXPECT_EQ(cs[1], Polynomial(3));
@@ -49,13 +49,13 @@ TEST(Polynomial, LeadingTerms) {
 
 TEST(Faulhaber, KnownClosedForms) {
   // sum i   = n(n+1)/2
-  Polynomial s1 = power_sum(1, "n");
+  Polynomial s1 = power_sum(1, intern_symbol("n"));
   EXPECT_EQ(s1, Polynomial(Rational(1, 2)) * (n() * n() + n()));
   // sum i^2 = n(n+1)(2n+1)/6
-  Polynomial s2 = power_sum(2, "n");
+  Polynomial s2 = power_sum(2, intern_symbol("n"));
   EXPECT_DOUBLE_EQ(s2.eval({{"n", 10.0}}), 385.0);
   // sum i^3 = (n(n+1)/2)^2
-  Polynomial s3 = power_sum(3, "n");
+  Polynomial s3 = power_sum(3, intern_symbol("n"));
   EXPECT_DOUBLE_EQ(s3.eval({{"n", 10.0}}), 3025.0);
 }
 
@@ -64,7 +64,7 @@ class FaulhaberBruteForce
 
 TEST_P(FaulhaberBruteForce, MatchesDirectSummation) {
   auto [k, upper] = GetParam();
-  Polynomial sk = power_sum(k, "n");
+  Polynomial sk = power_sum(k, intern_symbol("n"));
   double direct = 0;
   for (int i = 1; i <= upper; ++i) {
     direct += std::pow(static_cast<double>(i), k);
@@ -79,16 +79,17 @@ INSTANTIATE_TEST_SUITE_P(PowersAndRanges, FaulhaberBruteForce,
 
 TEST(SumOver, PolynomialBounds) {
   // sum_{v=0}^{N-1} 1 = N
+  const SymId vi = intern_symbol("v");
   Polynomial N = Polynomial::variable("N");
   Polynomial one(1);
-  EXPECT_EQ(sum_over(one, "v", Polynomial(0), N - Polynomial(1)), N);
+  EXPECT_EQ(sum_over(one, vi, Polynomial(0), N - Polynomial(1)), N);
   // sum_{v=k+1}^{N-1} 1 = N - k - 1
   Polynomial k = Polynomial::variable("k");
-  EXPECT_EQ(sum_over(one, "v", k + Polynomial(1), N - Polynomial(1)),
+  EXPECT_EQ(sum_over(one, vi, k + Polynomial(1), N - Polynomial(1)),
             N - k - Polynomial(1));
   // sum_{v=0}^{N-1} v = N(N-1)/2
-  Polynomial v = Polynomial::variable("v");
-  EXPECT_EQ(sum_over(v, "v", Polynomial(0), N - Polynomial(1)),
+  Polynomial v = Polynomial::variable(vi);
+  EXPECT_EQ(sum_over(v, vi, Polynomial(0), N - Polynomial(1)),
             Polynomial(Rational(1, 2)) * (N * N - N));
 }
 
@@ -97,7 +98,8 @@ TEST(SumOver, NestedTriangularVolume) {
   Polynomial N = Polynomial::variable("N");
   Polynomial k = Polynomial::variable("k");
   Polynomial inner = (N - k - Polynomial(1)) * (N - k - Polynomial(1));
-  Polynomial vol = sum_over(inner, "k", Polynomial(0), N - Polynomial(1));
+  Polynomial vol =
+      sum_over(inner, intern_symbol("k"), Polynomial(0), N - Polynomial(1));
   // Exact: N^3/3 - N^2/2 + N/6.
   EXPECT_DOUBLE_EQ(vol.eval({{"N", 10.0}}), 285.0);
   EXPECT_EQ(vol.leading_terms(),

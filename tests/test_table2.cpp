@@ -33,10 +33,10 @@ TEST_P(Corpus, BoundIsSoundAgainstReferenceRow) {
   // than 1/4 of it (leading order, large sizes, S = 2^20).
   const KernelEntry& k = kernel_by_name(GetParam());
   sym::Expr got = analyze_kernel(k);
-  std::map<std::string, double> env;
-  for (const std::string& s : got.symbols()) env[s] = 1e6;
-  for (const std::string& s : k.paper_bound.symbols()) env[s] = 1e6;
-  env["S"] = static_cast<double>(1 << 20);
+  SymMap<double> env;
+  for (SymId s : got.symbol_ids()) env.set(s, 1e6);
+  for (SymId s : k.paper_bound.symbol_ids()) env.set(s, 1e6);
+  env.set("S", static_cast<double>(1 << 20));
   double ours = got.eval(env);
   double paper = k.paper_bound.eval(env);
   EXPECT_GE(ours, paper / 4.0) << k.name;

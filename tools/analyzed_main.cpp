@@ -209,6 +209,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--once requires --listen PORT\n");
     return usage(argv[0]);
   }
+  if (listen_port > 65535) {
+    std::fprintf(stderr, "--listen port %zu is out of range (1-65535)\n",
+                 listen_port);
+    return usage(argv[0]);
+  }
   options.cache.max_entries = cache_entries;
   options.cache.max_live_nodes = cache_nodes;
   options.cache.persist_path = cache_file;
