@@ -1,5 +1,7 @@
 #include "bounds/intensity.hpp"
 
+#include <stdexcept>
+
 #include "symbolic/leading.hpp"
 
 namespace soap::bounds {
@@ -53,7 +55,11 @@ IoLowerBound assemble_bound(const sym::Expr& domain_size, const ChiForm& chi) {
     TileSize t;
     t.exponent = e;
     auto it = chi.tile_coeffs.find(v);
-    t.coefficient = it == chi.tile_coeffs.end() ? 1.0 : it->second;
+    if (it == chi.tile_coeffs.end()) {
+      throw std::logic_error("assemble_bound: no tile coefficient for '" + v +
+                             "' (call pick_tiles first)");
+    }
+    t.coefficient = it->second;
     out.tiles[v] = t;
   }
   return out;

@@ -24,6 +24,8 @@ struct IntensityResult {
 IntensityResult minimize_intensity(const ChiForm& chi);
 
 /// Assembles the full bound Q >= |D| / rho_min from a domain size and chi.
+/// Throws std::logic_error when an exponent of `chi` has no tile
+/// coefficient (a relaxed GP's ChiForm before pick_tiles).
 IoLowerBound assemble_bound(const sym::Expr& domain_size,
                             const ChiForm& chi);
 

@@ -33,7 +33,7 @@ namespace soap::bounds::opt {
 /// solver-eval budget (the nlopt `maxeval` analogue) and polls
 /// deadline/cancellation every 32 ticks so the poll cost stays invisible
 /// next to the evaluation itself.  One guard per chi derivation — shared
-/// by its numeric solve and its GP refinement so the budget is
+/// by its GP iterations and its numeric fit so the budget is
 /// per-derivation, and the evaluation that trips is deterministic.
 struct EvalGuard {
   const support::StopCriteria* stop = nullptr;  ///< nullptr = unlimited

@@ -18,8 +18,10 @@ OptimizationProblem statement_problem(const Statement& st) {
 }
 
 std::optional<IoLowerBound> single_statement_bound(const Statement& st) {
-  std::optional<ChiForm> chi = derive_chi(statement_problem(st));
+  const OptimizationProblem problem = statement_problem(st);
+  std::optional<ChiForm> chi = derive_chi(problem);
   if (!chi) return std::nullopt;
+  pick_tiles(problem, *chi);
   return assemble_bound(st.domain.cardinality().leading_terms().to_expr(),
                         *chi);
 }

@@ -1,6 +1,7 @@
 #include "frontend/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <stdexcept>
 
 #include "support/cancel.hpp"
@@ -64,10 +65,18 @@ void lex_line(const std::string& s, int line, std::vector<Token>* out) {
         ++j;
       }
       Token t{TokenKind::kNumber, s.substr(i, j - i), 0, line, col};
-      try {
-        t.number = std::stoll(t.text);
-      } catch (...) {
-        t.number = 0;  // float literal; value unused
+      if (t.text.find_first_not_of("0123456789") == std::string::npos) {
+        const std::from_chars_result parsed = std::from_chars(
+            t.text.data(), t.text.data() + t.text.size(), t.number);
+        if (parsed.ec != std::errc()) {
+          fail("integer literal " + t.text + " out of range", line, col);
+        }
+      } else {
+        try {
+          t.number = std::stoll(t.text);
+        } catch (...) {
+          t.number = 0;  // float literal; value unused
+        }
       }
       out->push_back(std::move(t));
       i = j;

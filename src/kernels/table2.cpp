@@ -73,6 +73,25 @@ std::string CorpusReport::failure_summary() const {
   return out;
 }
 
+KernelOutcome kernel_outcome(
+    const KernelEntry& entry,
+    const std::optional<sdg::MultiStatementBound>& bound) {
+  KernelOutcome out;
+  out.kernel = entry.name;
+  out.family = entry.family;
+  if (!bound) {
+    out.status = support::StatusCode::kInvalidInput;
+    out.message = "no non-trivial bound (unlimited reuse)";
+    return out;
+  }
+  out.bound = bound->Q_leading;
+  out.degraded = bound->degraded;
+  // A degraded row keeps its bound but reports which criterion tripped.
+  out.status = bound->degraded ? bound->degraded_reason
+                               : support::StatusCode::kOk;
+  return out;
+}
+
 KernelOutcome analyze_kernel_checked(
     const KernelEntry& entry, std::size_t threads,
     support::ExecutorRef executor, const support::StopCriteria& stop,
@@ -86,17 +105,7 @@ KernelOutcome analyze_kernel_checked(
     options.threads = threads;
     options.executor = executor;
     options.stop = stop;
-    std::optional<sdg::MultiStatementBound> bound = derive(program, options);
-    if (!bound) {
-      out.status = support::StatusCode::kInvalidInput;
-      out.message = "no non-trivial bound (unlimited reuse)";
-      return out;
-    }
-    out.bound = bound->Q_leading;
-    out.degraded = bound->degraded;
-    // A degraded row keeps its bound but reports which criterion tripped.
-    out.status = bound->degraded ? bound->degraded_reason
-                                 : support::StatusCode::kOk;
+    return kernel_outcome(entry, derive(program, options));
   } catch (const support::AnalysisError& error) {
     out.status = error.code();
     out.message = error.what();

@@ -104,6 +104,12 @@ struct CorpusReport {
 using DeriveFn = std::function<std::optional<sdg::MultiStatementBound>(
     const Program&, const sdg::SdgOptions&)>;
 
+/// The outcome of `entry` given its derived bound (std::nullopt: no
+/// non-trivial bound, reported as invalid input).
+KernelOutcome kernel_outcome(
+    const KernelEntry& entry,
+    const std::optional<sdg::MultiStatementBound>& bound);
+
 /// Analyzes `entry` under `stop`, never throwing: every error class —
 /// deadline/budget (after the degraded fallback also failed), cancellation,
 /// invalid input, optimizer no-converge, unexpected exceptions — is folded

@@ -40,11 +40,13 @@ ProgramAnalysis analyze_program(BoundCache* cache, const Program& program,
   return out;
 }
 
-kernels::DeriveFn cached_derive(BoundCache& cache, CacheOutcome* outcome) {
-  return [&cache, outcome](const Program& program,
-                           const sdg::SdgOptions& options) {
+kernels::DeriveFn cached_derive(BoundCache& cache, CacheOutcome* outcome,
+                                CacheKey* key) {
+  return [&cache, outcome, key](const Program& program,
+                                const sdg::SdgOptions& options) {
     ProgramAnalysis analysis = analyze_program(&cache, program, options);
     if (outcome != nullptr) *outcome = *analysis.outcome;
+    if (key != nullptr) *key = analysis.key;
     return std::move(analysis.bound);
   };
 }

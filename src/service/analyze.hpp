@@ -34,9 +34,11 @@ ProgramAnalysis analyze_program(BoundCache* cache, const Program& program,
                                 const sdg::SdgOptions& options);
 
 /// The derive step of the kernels-layer runners routed through `cache`.
-/// When `outcome` is non-null it receives how the cache satisfied the last
-/// derivation (use it for a single kernel, not a concurrent batch).
+/// When `outcome` (`key`) is non-null it receives how the cache satisfied
+/// the last derivation (its cache key); use them for a single kernel, not a
+/// concurrent batch.
 kernels::DeriveFn cached_derive(BoundCache& cache,
-                                CacheOutcome* outcome = nullptr);
+                                CacheOutcome* outcome = nullptr,
+                                CacheKey* key = nullptr);
 
 }  // namespace soap::service

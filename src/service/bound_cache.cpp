@@ -136,6 +136,25 @@ std::optional<sdg::MultiStatementBound> BoundCache::lookup(
   return it->second->bound;
 }
 
+void BoundCache::add_alias(const support::Digest& alias, const CacheKey& key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = index_.find(key);
+  if (it == index_.end() || aliases_.count(alias) != 0) return;
+  std::vector<support::Digest>& names = it->second->aliases;
+  if (names.size() >= kMaxAliases) return;
+  names.push_back(alias);
+  aliases_.emplace(alias, it->second);
+}
+
+std::optional<AliasHit> BoundCache::lookup_alias(const support::Digest& alias) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = aliases_.find(alias);
+  if (it == aliases_.end()) return std::nullopt;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++hits_;
+  return AliasHit{it->second->key, it->second->bound};
+}
+
 void BoundCache::put(const CacheKey& key,
                      const sdg::MultiStatementBound& bound) {
   if (bound.degraded) return;
@@ -152,7 +171,7 @@ void BoundCache::store(const CacheKey& key,
       // (the key is a pure function of what derives it).
       lru_.splice(lru_.begin(), lru_, it->second);
     } else {
-      lru_.push_front(Entry{key, bound});
+      lru_.push_front(Entry{key, bound, {}});
       index_.emplace(key, lru_.begin());
       inserted = true;
       while (lru_.size() > std::max<std::size_t>(1, options_.max_entries)) {
@@ -174,6 +193,9 @@ void BoundCache::store(const CacheKey& key,
 }
 
 void BoundCache::evict_lru() {
+  for (const support::Digest& alias : lru_.back().aliases) {
+    aliases_.erase(alias);
+  }
   index_.erase(lru_.back().key);
   lru_.pop_back();
   ++evicted_;

@@ -28,6 +28,12 @@
 //     One mutex guards the LRU, its index, the in-flight map and the
 //     counters; derivations run outside it.
 //
+// Request aliases.  `analyzed` also keys an entry by a digest of the
+// request text that produced it (service/server.hpp), so a repeated
+// request is answered from the cache without parsing or lowering its
+// program.  Each entry keeps at most kMaxAliases aliases, and an entry's
+// aliases leave the index with it on eviction.
+//
 // Optional persistence: an append-only file of `digest<TAB>record` lines
 // (service/serialize.hpp) written on every store and loaded at
 // construction, so a restarted server starts warm.  Torn or stale lines
@@ -43,6 +49,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sdg/multi_statement.hpp"
 #include "service/cache_key.hpp"
@@ -94,6 +101,12 @@ struct CachedBound {
   CacheOutcome outcome = CacheOutcome::kMiss;
 };
 
+/// An entry found through a request alias.
+struct AliasHit {
+  CacheKey key;
+  sdg::MultiStatementBound bound;
+};
+
 class BoundCache {
  public:
   explicit BoundCache(BoundCacheOptions options = {});
@@ -119,6 +132,18 @@ class BoundCache {
   /// degraded bounds are ignored.
   void put(const CacheKey& key, const sdg::MultiStatementBound& bound);
 
+  /// Most aliases one entry keeps.
+  static constexpr std::size_t kMaxAliases = 8;
+
+  /// Names the cached entry of `key` by `alias` as well.  A no-op when
+  /// `key` is not cached, `alias` is already known, or the entry holds
+  /// kMaxAliases aliases.
+  void add_alias(const support::Digest& alias, const CacheKey& key);
+
+  /// Read-only probe by alias (counts a hit on success, nothing on
+  /// absence — an unknown alias or one whose entry was evicted).
+  std::optional<AliasHit> lookup_alias(const support::Digest& alias);
+
   [[nodiscard]] BoundCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
 
@@ -126,13 +151,15 @@ class BoundCache {
   struct Entry {
     CacheKey key;
     sdg::MultiStatementBound bound;
+    std::vector<support::Digest> aliases;
   };
   struct Flight;
 
   /// Store at the LRU front, run evictions, optionally persist.
   void store(const CacheKey& key, const sdg::MultiStatementBound& bound,
              bool persist);
-  /// Drops the least-recently-used entry.  Caller holds `mutex_`.
+  /// Drops the least-recently-used entry and its aliases.  Caller holds
+  /// `mutex_`.
   void evict_lru();
   void load_persisted();
   void append_persisted(const CacheKey& key,
@@ -143,6 +170,7 @@ class BoundCache {
   /// front = most recently used.
   std::list<Entry> lru_;
   std::unordered_map<CacheKey, std::list<Entry>::iterator> index_;
+  std::unordered_map<support::Digest, std::list<Entry>::iterator> aliases_;
   std::unordered_map<CacheKey, std::shared_ptr<Flight>> flights_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

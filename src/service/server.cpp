@@ -20,6 +20,7 @@
 #include "service/analyze.hpp"
 #include "service/json.hpp"
 #include "support/cancel.hpp"
+#include "support/digest.hpp"
 #include "support/parse.hpp"
 
 namespace soap::service {
@@ -127,6 +128,50 @@ RequestOpts parse_opts(const std::vector<std::string>& tokens,
   return opts;
 }
 
+/// The alias of a request in the bound cache: a digest of the request
+/// text that decides its bound — the kernel name, or the `analyze` body
+/// and its subgraph options.  The id, deadline and node budget are left
+/// out, as the cache key leaves them out.
+support::Digest request_alias(const std::string& kernel_name,
+                              const std::string& body,
+                              const RequestOpts& opts) {
+  support::DigestWriter w;
+  w.mix_string("analyzed request alias v1");
+  w.mix_bool(kernel_name.empty());
+  w.mix_string(kernel_name.empty() ? body : kernel_name);
+  w.mix_bool(opts.max_subgraph_size.has_value());
+  w.mix_u64(opts.max_subgraph_size.value_or(0));
+  w.mix_bool(opts.max_subgraphs.has_value());
+  w.mix_u64(opts.max_subgraphs.value_or(0));
+  return w.finish();
+}
+
+std::string program_reply(const std::string& id,
+                          const ProgramAnalysis& analysis) {
+  return "{\"id\":" + json_string(id) + ',' + program_json_fields(analysis) +
+         '}';
+}
+
+std::string kernel_reply(const std::string& id, CacheOutcome cache_outcome,
+                         const kernels::KernelOutcome& outcome) {
+  return "{\"id\":" + json_string(id) + ",\"cache\":" +
+         json_string(cache_outcome_name(cache_outcome)) + ',' +
+         outcome_json(outcome).substr(1);
+}
+
+/// Splices the latency into a reply object (it always ends in '}').
+void add_elapsed(std::string& reply, std::uint64_t elapsed_us) {
+  reply.insert(reply.size() - 1,
+               ",\"elapsed_us\":" + std::to_string(elapsed_us));
+}
+
+std::uint64_t micros_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 }  // namespace
 
 std::size_t LatencyHistogram::bucket(std::uint64_t us) {
@@ -197,9 +242,10 @@ int Server::serve(std::istream& in, std::ostream& out) {
 
   // The body of one analyze/kernel request; runs on a dispatch thread (or
   // inline when request_threads <= 1).  `body` is empty for kernel mode.
+  // A non-degraded bound makes `alias` name its cache entry.
   const auto run_request = [this, &impl, &write_reply, &error_reply](
                                RequestOpts opts, std::string kernel_name,
-                               std::string body,
+                               std::string body, support::Digest alias,
                                support::CancellationToken cancel) {
     const auto start = std::chrono::steady_clock::now();
     support::StopCriteria stop;
@@ -221,10 +267,12 @@ int Server::serve(std::istream& in, std::ostream& out) {
           options.max_subgraph_size = *opts.max_subgraph_size;
         }
         if (opts.max_subgraphs) options.max_subgraphs = *opts.max_subgraphs;
-        reply = "{\"id\":" + json_string(opts.id) + ',' +
-                program_json_fields(
-                    analyze_program(cache_.get(), program, options)) +
-                '}';
+        const ProgramAnalysis analysis =
+            analyze_program(cache_.get(), program, options);
+        if (analysis.bound && !analysis.bound->degraded) {
+          cache_->add_alias(alias, analysis.key);
+        }
+        reply = program_reply(opts.id, analysis);
       } else {
         const kernels::KernelEntry* entry = nullptr;
         try {
@@ -235,13 +283,13 @@ int Server::serve(std::istream& in, std::ostream& out) {
         }
         if (entry != nullptr) {
           CacheOutcome cache_outcome = CacheOutcome::kMiss;
+          CacheKey key;
           const kernels::KernelOutcome outcome =
               kernels::analyze_kernel_checked(
                   *entry, options_.analysis_threads, options_.executor, stop,
-                  cached_derive(*cache_, &cache_outcome));
-          reply = "{\"id\":" + json_string(opts.id) + ",\"cache\":" +
-                  json_string(cache_outcome_name(cache_outcome)) + ',' +
-                  outcome_json(outcome).substr(1);
+                  cached_derive(*cache_, &cache_outcome, &key));
+          if (outcome.ok() && !outcome.degraded) cache_->add_alias(alias, key);
+          reply = kernel_reply(opts.id, cache_outcome, outcome);
         }
       }
     } catch (const support::AnalysisError& e) {
@@ -250,14 +298,8 @@ int Server::serve(std::istream& in, std::ostream& out) {
     } catch (const std::exception& e) {
       reply = error_reply(opts.id, "internal_error", e.what());
     }
-    const auto elapsed =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start);
-    const std::uint64_t elapsed_us =
-        static_cast<std::uint64_t>(elapsed.count());
-    // Splice the latency into the reply object (it always ends in '}').
-    reply.insert(reply.size() - 1,
-                 ",\"elapsed_us\":" + std::to_string(elapsed_us));
+    const std::uint64_t elapsed_us = micros_since(start);
+    add_elapsed(reply, elapsed_us);
     write_reply(reply);
     // Notify under the lock: once `drain` sees inflight == 0 the Server
     // may be destroyed, so this thread must not touch `impl.cv` after
@@ -267,6 +309,37 @@ int Server::serve(std::istream& in, std::ostream& out) {
     impl.latency.record(elapsed_us);
     --impl.inflight;
     impl.cv.notify_all();
+  };
+
+  // A request whose alias names a cached entry, answered on this thread:
+  // no parse, no derivation, no dispatch.  The reply is the one a worker
+  // would render for a cache hit.  False when the alias is unknown.
+  const auto answer_hit = [this, &impl, &write_reply](
+                              const RequestOpts& opts,
+                              const std::string& kernel_name,
+                              const support::Digest& alias,
+                              std::chrono::steady_clock::time_point start) {
+    std::optional<AliasHit> hit = cache_->lookup_alias(alias);
+    if (!hit) return false;
+    std::string reply;
+    if (kernel_name.empty()) {
+      ProgramAnalysis analysis;
+      analysis.key = hit->key;
+      analysis.bound = std::move(hit->bound);
+      analysis.outcome = CacheOutcome::kHit;
+      reply = program_reply(opts.id, analysis);
+    } else {
+      reply = kernel_reply(
+          opts.id, CacheOutcome::kHit,
+          kernels::kernel_outcome(kernels::kernel_by_name(kernel_name),
+                                  hit->bound));
+    }
+    const std::uint64_t elapsed_us = micros_since(start);
+    add_elapsed(reply, elapsed_us);
+    write_reply(reply);
+    std::lock_guard<std::mutex> lock(impl.mutex);
+    impl.latency.record(elapsed_us);
+    return true;
   };
 
   std::string line;
@@ -391,9 +464,11 @@ int Server::serve(std::istream& in, std::ostream& out) {
       continue;
     }
 
-    // Admission: assign an id, register the cancellation source, and wait
-    // for a request slot.  Duplicate in-flight ids are rejected (cancel
-    // would be ambiguous).
+    // Admission: assign an id, answer a cached request at once, else
+    // register the cancellation source and wait for a request slot.
+    // Duplicate in-flight ids are rejected (cancel would be ambiguous).
+    const auto start = std::chrono::steady_clock::now();
+    const support::Digest alias = request_alias(kernel_name, body, opts);
     support::CancellationToken cancel;
     {
       std::unique_lock<std::mutex> lock(impl.mutex);
@@ -405,6 +480,10 @@ int Server::serve(std::istream& in, std::ostream& out) {
                                 "duplicate in-flight id '" + clip(id) + "'"));
         continue;
       }
+    }
+    if (answer_hit(opts, kernel_name, alias, start)) continue;
+    {
+      std::unique_lock<std::mutex> lock(impl.mutex);
       const std::size_t slots =
           options_.request_threads == 0 ? 1 : options_.request_threads;
       impl.cv.wait(lock, [&impl, slots] { return impl.inflight < slots; });
@@ -415,14 +494,14 @@ int Server::serve(std::istream& in, std::ostream& out) {
     }
     if (options_.request_threads <= 1) {
       run_request(std::move(opts), std::move(kernel_name), std::move(body),
-                  std::move(cancel));
+                  alias, std::move(cancel));
     } else {
       options_.executor.submit(
           [run_request, opts = std::move(opts),
            kernel_name = std::move(kernel_name), body = std::move(body),
-           cancel = std::move(cancel)]() mutable {
+           alias, cancel = std::move(cancel)]() mutable {
             run_request(std::move(opts), std::move(kernel_name),
-                        std::move(body), std::move(cancel));
+                        std::move(body), alias, std::move(cancel));
           });
     }
   }

@@ -220,6 +220,52 @@ TEST(BoundCacheTest, NodeBudgetEvictsTheLeastRecentlyUsedFirst) {
   EXPECT_TRUE(cache.lookup(key_of(2)).has_value());
 }
 
+Digest alias_of(std::uint64_t i) { return Digest{i + 77, i * 31 + 5}; }
+
+TEST(BoundCacheAliases, AnAliasNamesItsEntryAndCountsAHit) {
+  BoundCache cache;
+  EXPECT_FALSE(cache.lookup_alias(alias_of(1)).has_value());
+  cache.add_alias(alias_of(1), key_of(1));  // not cached: ignored
+  cache.put(key_of(1), make_bound(1));
+  EXPECT_FALSE(cache.lookup_alias(alias_of(1)).has_value());
+  cache.add_alias(alias_of(1), key_of(1));
+  const auto hit = cache.lookup_alias(alias_of(1));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->key, key_of(1));
+  EXPECT_EQ(hit->bound.Q_leading, make_bound(1).Q_leading);
+  const BoundCacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 0u);
+}
+
+TEST(BoundCacheAliases, EvictionDropsTheEntrysAliases) {
+  BoundCacheOptions options;
+  options.max_entries = 1;
+  BoundCache cache(options);
+  cache.put(key_of(1), make_bound(1));
+  cache.add_alias(alias_of(1), key_of(1));
+  cache.add_alias(alias_of(2), key_of(1));
+  cache.put(key_of(2), make_bound(2));  // evicts key 1
+  EXPECT_FALSE(cache.lookup_alias(alias_of(1)).has_value());
+  EXPECT_FALSE(cache.lookup_alias(alias_of(2)).has_value());
+  // Stored again, the entry starts without aliases.
+  cache.put(key_of(1), make_bound(1));
+  EXPECT_FALSE(cache.lookup_alias(alias_of(1)).has_value());
+  EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(BoundCacheAliases, AnEntryKeepsAtMostTheFixedNumberOfAliases) {
+  BoundCache cache;
+  cache.put(key_of(1), make_bound(1));
+  const std::uint64_t n = BoundCache::kMaxAliases + 3;
+  for (std::uint64_t i = 0; i < n; ++i) cache.add_alias(alias_of(i), key_of(1));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(cache.lookup_alias(alias_of(i)).has_value(),
+              i < BoundCache::kMaxAliases)
+        << i;
+  }
+}
+
 // --- Single-flight stress (TSan target) -------------------------------------
 
 TEST(BoundCacheStress, SingleFlightNeverDerivesAKeyTwiceConcurrently) {

@@ -161,6 +161,32 @@ TEST(Lexer, BadCharacterIsInvalidInputWithPosition) {
   }
 }
 
+TEST(Lexer, IntegerLiteralOutOfRangeIsInvalidInputWithPosition) {
+  // Past long long an integer literal used to lex as 0, so this loop was
+  // analyzed as range(0, 0) and the offset below vanished.
+  for (const std::string source :
+       {"for i in range(99999999999999999999):\n  x[i] = a[i]\n",
+        "for i in range(N):\n  C[i+99999999999999999999] = A[i]\n"}) {
+    try {
+      parse_program(source);
+      FAIL() << "expected a lex error for " << source;
+    } catch (const support::AnalysisError& e) {
+      EXPECT_EQ(e.code(), support::StatusCode::kInvalidInput);
+      EXPECT_NE(std::string(e.what()).find("lex error at "),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest long long still lexes; float literals stay value-free.
+  const auto tokens = tokenize("9223372036854775807 1e99999999999999999999",
+                               false);
+  ASSERT_GE(tokens.size(), 2u);
+  EXPECT_EQ(tokens[0].number, 9223372036854775807LL);
+  EXPECT_EQ(tokens[1].kind, TokenKind::kNumber);
+}
+
 TEST(Lower, CallsAreTransparent) {
   Program p = parse_program(
       "for i in range(N):\n  b[i] = max(a[i], exp(c[i]))\n");

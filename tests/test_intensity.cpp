@@ -1,5 +1,6 @@
 #include "bounds/intensity.hpp"
 #include <cmath>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -83,6 +84,19 @@ TEST(AssembleBound, ComposesDomainAndIntensity) {
   EXPECT_EQ(b.Q_leading,
             Expr(2) * N * N * N / sym::sqrt(Expr::symbol("S")));
   EXPECT_EQ(b.alpha, Rational(3, 2));
+}
+
+TEST(AssembleBound, AnExponentWithoutATileCoefficientIsALogicError) {
+  ChiForm chi = power_law(Rational(2), 0.125, Expr(Rational(1, 8)));
+  chi.exponents["i"] = Rational(1);
+  chi.exponents["t"] = Rational(1);
+  chi.tile_coeffs["i"] = 0.5;
+  const Expr N = Expr::symbol("N");
+  EXPECT_THROW(assemble_bound(N * N, chi), std::logic_error);
+  chi.tile_coeffs["t"] = 0.25;
+  const IoLowerBound b = assemble_bound(N * N, chi);
+  EXPECT_EQ(b.tiles.at("i").coefficient, 0.5);
+  EXPECT_EQ(b.tiles.at("t").coefficient, 0.25);
 }
 
 TEST(AssembleBound, DropsLowerOrderDomainTerms) {

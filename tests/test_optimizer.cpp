@@ -77,6 +77,123 @@ for t in range(T):
   EXPECT_NEAR(chi->tile_coeffs.at("t") / chi->tile_coeffs.at("i"), 0.5, 1e-6);
 }
 
+constexpr const char* kJacobi1d = R"(
+for t in range(T):
+  for i in range(1, N - 1):
+    A[i,t+1] = A[i-1,t] + A[i,t] + A[i+1,t]
+)";
+
+std::vector<Rational> exponents_of(const OptimizationProblem& p,
+                                   const ChiForm& chi) {
+  std::vector<Rational> out;
+  for (const std::string& v : p.vars) out.push_back(chi.exponents.at(v));
+  return out;
+}
+
+TEST(AsymptoticConstant, StopsWithinTheCapAndStatesItsSpread) {
+  const OptimizationProblem p = problem_of(kJacobi1d);
+  const auto chi = derive_chi(p);
+  ASSERT_TRUE(chi);
+  EXPECT_EQ(chi->source, ChiSource::kGp);
+  const auto gp = asymptotic_constant(p, exponents_of(p, *chi), chi->alpha);
+  ASSERT_TRUE(gp);
+  EXPECT_TRUE(gp->converged);
+  EXPECT_FALSE(gp->relaxed);
+  EXPECT_GT(gp->iterations, 10);
+  EXPECT_LT(gp->iterations, kGpMaxIterations);
+  EXPECT_LE(gp->kkt_spread, kGpKktTolerance);
+  EXPECT_NEAR(gp->constant, 0.125, 1e-12);
+}
+
+TEST(AsymptoticConstant, HittingTheIterationCapIsNoConvergence) {
+  const OptimizationProblem p = problem_of(kJacobi1d);
+  const auto chi = derive_chi(p);
+  ASSERT_TRUE(chi);
+  const auto gp =
+      asymptotic_constant(p, exponents_of(p, *chi), chi->alpha, nullptr, 10);
+  ASSERT_TRUE(gp);
+  EXPECT_FALSE(gp->converged);
+  EXPECT_EQ(gp->iterations, 10);
+  EXPECT_GT(gp->kkt_spread, kGpKktTolerance);
+}
+
+TEST(AsymptoticConstant, PinsAClampedVariableTheObjectiveLacks) {
+  // chi = 3 x0 x1^2 under 2 x0 x1 x2 - (x0-2)(x1-1) x2 <= X: alpha = 2 at
+  // a = (0, 1, 0).  x2 only spends budget, so its optimum is its bound 1;
+  // then kappa1 = 1/(kappa0 + 2) and c = max 3 k0/(k0 + 2)^2 = 3/8.
+  OptimizationProblem p;
+  p.vars = {"x0", "x1", "x2"};
+  AccessTerm t;
+  t.array = "A";
+  t.kind = TermKind::kPlain;
+  t.dims = {{DimSpec::Mode::kProduct, {0}, 2},
+            {DimSpec::Mode::kProduct, {1}, 1},
+            {DimSpec::Mode::kProduct, {2}, 0}};
+  p.sum_terms = {t};
+  ObjectiveMonomial m;
+  m.degrees = {{0, 1}, {1, 2}};
+  m.coeff = 3;
+  p.objective = {m};
+  const auto chi = derive_chi(p);
+  ASSERT_TRUE(chi);
+  EXPECT_EQ(chi->alpha, Rational(2));
+  EXPECT_EQ(chi->source, ChiSource::kGp);
+  EXPECT_NEAR(chi->coefficient_num, 0.375, 1e-12);
+  EXPECT_EQ(chi->tile_coeffs.at("x2"), 1.0);
+}
+
+TEST(DeriveChi, RelaxedGpLeavesTheTilesToPickTiles) {
+  // The output B[i,j] is a potentially active single term: the GP solves
+  // without it and checks it at the optimum.
+  const OptimizationProblem p = problem_of(R"(
+for i in range(N):
+  for j in range(N):
+    B[i,j] = A[i,j] + A[i-1,j] + A[i+1,j] + A[i,j-1] + A[i,j+1] + x[i] + y[j]
+)");
+  auto chi = derive_chi(p);
+  ASSERT_TRUE(chi);
+  EXPECT_EQ(chi->source, ChiSource::kRelaxedGp);
+  EXPECT_TRUE(chi->coefficient_exact);
+  EXPECT_TRUE(chi->tile_coeffs.empty());
+  pick_tiles(p, *chi);
+  ASSERT_EQ(chi->tile_coeffs.size(), 2u);
+  for (const auto& [v, kappa] : chi->tile_coeffs) {
+    EXPECT_TRUE(std::isfinite(kappa) && kappa > 0) << v;
+  }
+  // Tiles already present are kept.
+  const auto picked = chi->tile_coeffs;
+  pick_tiles(p, *chi);
+  EXPECT_EQ(chi->tile_coeffs, picked);
+}
+
+TEST(DeriveChi, NumericFitWhenAVertexOfTheLpFaceBeatsTheGp) {
+  // chi = x0^2 x1^2 under 2 x0 x1 x2 - (x0-2)(x1-2)(x2-2) <= X.  The LP
+  // face a0 + a1 = 1 has the balanced point, where the GP finds c = 1/9,
+  // and the vertex x1 = x2 = 1, where the offset term turns the budget into
+  // x0 + 2 and c = 1.  The GP cannot see the vertex, so the numeric fit
+  // supplies the constant.
+  OptimizationProblem p;
+  p.vars = {"x0", "x1", "x2"};
+  AccessTerm t;
+  t.array = "A";
+  t.kind = TermKind::kPlain;
+  t.dims = {{DimSpec::Mode::kProduct, {0}, 2},
+            {DimSpec::Mode::kProduct, {1}, 2},
+            {DimSpec::Mode::kProduct, {2}, 2}};
+  p.sum_terms = {t};
+  ObjectiveMonomial m;
+  m.degrees = {{0, 2}, {1, 2}};
+  p.objective = {m};
+  const auto chi = derive_chi(p);
+  ASSERT_TRUE(chi);
+  EXPECT_EQ(chi->alpha, Rational(2));
+  EXPECT_EQ(chi->source, ChiSource::kNumeric);
+  EXPECT_NEAR(chi->coefficient_num, 1.0, 1e-6);
+  const auto gp = asymptotic_constant(p, exponents_of(p, *chi), chi->alpha);
+  ASSERT_TRUE(gp);
+  EXPECT_NEAR(gp->constant, 1.0 / 9.0, 1e-12);
+}
+
 TEST(DeriveChi, UnboundedReuseReturnsNullopt) {
   // Variable r appears in no access: chi is unbounded.
   auto chi = derive_chi(problem_of(R"(

@@ -7,8 +7,11 @@
 // interned expression (pointer identity under hash-consing); an unsnapped
 // constant must match within a small relative tolerance.  The corpus
 // sweep also pins whole-kernel parity: multistart must reproduce every
-// default bound.  Labeled `optimizer` so CI can run the differential suite
-// on its own.
+// default bound.  The same harness is the oracle of the asymptotic GP: a
+// constant the GP supplied, relaxed or not, must agree within 1% with the
+// numeric fit at X = 1e12, on statement, subgraph and fuzzed problems; and
+// the corpus's constants are counted by source.  Labeled `optimizer` so CI
+// can run the differential suite on its own.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -26,7 +29,10 @@
 #include "bounds/single_statement.hpp"
 #include "kernels/table2.hpp"
 #include "problem_fuzz.hpp"
+#include "sdg/merge.hpp"
 #include "sdg/multi_statement.hpp"
+#include "sdg/sdg.hpp"
+#include "sdg/subgraph.hpp"
 #include "support/cancel.hpp"
 #include "support/parallel.hpp"
 
@@ -82,24 +88,43 @@ void expect_agreement(const std::string& label, const ChiForm& ref,
   }
 }
 
-/// |dlog chi / dlog X - alpha| of `kind`'s raw solves at X = 1e9 and 1e12,
-/// seeded at the LP exponents the way derive_chi seeds its one solve: the
-/// numeric optimum must track c * X^alpha, not only at the fitted budget.
+/// Whether a constant the asymptotic GP supplied agrees with the numeric
+/// fit within 1% of the larger (the check derive_chi made in production
+/// before it took the GP's constant without a numeric solve).
+bool within_one_percent(double c_gp, double c_num) {
+  return std::fabs(c_gp - c_num) <= 1e-2 * std::max(c_gp, c_num);
+}
+
+/// chi of `kind`'s raw solve at budget X, seeded at the LP exponents the
+/// way derive_chi seeds its numeric fit.
+double raw_chi(const OptimizationProblem& problem, const ChiForm& chi,
+               opt::BackendKind kind, double X) {
+  opt::SolveRequest request;
+  request.X = X;
+  std::vector<double> seed;
+  for (const std::string& v : problem.vars) {
+    seed.push_back(chi.exponents.at(v).to_double() * std::log(X));
+  }
+  request.seeds = {std::move(seed)};
+  return opt::backend(kind).solve(problem, request).optimum.chi;
+}
+
+/// The constant of `kind`'s numeric fit: chi(X) / X^alpha at X = 1e12.
+double numeric_constant(const OptimizationProblem& problem, const ChiForm& chi,
+                        opt::BackendKind kind) {
+  return raw_chi(problem, chi, kind, 1e12) /
+         std::pow(1e12, chi.alpha.to_double());
+}
+
+/// |dlog chi / dlog X - alpha| of `kind`'s raw solves at X = 1e9 and 1e12:
+/// the numeric optimum must track c * X^alpha, not only at the fitted
+/// budget.
 double slope_residual(const OptimizationProblem& problem, const ChiForm& chi,
                       opt::BackendKind kind) {
   const double x_lo = 1e9;
   const double x_hi = 1e12;
-  auto solve_at = [&](double X) {
-    opt::SolveRequest request;
-    request.X = X;
-    std::vector<double> seed;
-    for (const std::string& v : problem.vars) {
-      seed.push_back(chi.exponents.at(v).to_double() * std::log(X));
-    }
-    request.seeds = {std::move(seed)};
-    return opt::backend(kind).solve(problem, request).optimum.chi;
-  };
-  const double slope = (std::log(solve_at(x_hi)) - std::log(solve_at(x_lo))) /
+  const double slope = (std::log(raw_chi(problem, chi, kind, x_hi)) -
+                        std::log(raw_chi(problem, chi, kind, x_lo))) /
                        (std::log(x_hi) - std::log(x_lo));
   return std::fabs(slope - chi.alpha.to_double());
 }
@@ -111,6 +136,8 @@ struct Differential {
   std::array<std::optional<ChiForm>, kBackendCount> chi;
   std::array<std::string, kBackendCount> error;
   std::array<double, kBackendCount> slope_residual{};
+  /// The default backend's numeric constant when the GP supplied chi[0].
+  std::optional<double> numeric_constant;
 };
 
 Differential run_all_backends(const OptimizationProblem& problem) {
@@ -125,12 +152,21 @@ Differential run_all_backends(const OptimizationProblem& problem) {
       d.slope_residual[b] = slope_residual(problem, *d.chi[b], kBackends[b]);
     }
   }
+  if (d.chi[0] && d.chi[0]->source != ChiSource::kNumeric) {
+    d.numeric_constant = numeric_constant(problem, *d.chi[0], kBackends[0]);
+  }
   return d;
 }
 
 void expect_differential_agreement(const std::string& label,
                                    const Differential& d,
                                    double constant_rel_tol) {
+  if (d.numeric_constant) {
+    EXPECT_TRUE(within_one_percent(d.chi[0]->coefficient_num,
+                                   *d.numeric_constant))
+        << label << " GP c = " << d.chi[0]->coefficient_num
+        << " vs numeric " << *d.numeric_constant;
+  }
   for (std::size_t b = 0; b < kBackendCount; ++b) {
     const std::string who =
         label + " [" + std::string(opt::backend_name(kBackends[b])) + "]";
@@ -143,6 +179,20 @@ void expect_differential_agreement(const std::string& label,
       expect_agreement(who, *d.chi[0], *d.chi[b], constant_rel_tol);
     }
   }
+}
+
+/// Every problem the corpus path hands derive_chi for `k`: one merged
+/// problem per enumerated subgraph, under the kernel's recorded options.
+std::vector<sdg::MergedSubgraph> subgraph_problems(
+    const kernels::KernelEntry& k) {
+  const Program program = k.build();
+  const sdg::Sdg graph = sdg::Sdg::build(program);
+  std::vector<sdg::MergedSubgraph> out;
+  for (const auto& arrays : sdg::enumerate_subgraphs(
+           graph, k.options.max_subgraph_size, k.options.max_subgraphs)) {
+    out.push_back(sdg::merge_subgraph(graph, arrays));
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -201,6 +251,21 @@ TEST_P(BackendAgreement, MultistartReproducesTheDefaultKernelBound) {
       << multistart->Q_leading.str();
 }
 
+TEST_P(BackendAgreement, GpConstantOfEverySubgraphMatchesTheNumericFit) {
+  // The corpus path (multi_statement_bound) takes most constants from the
+  // GP, many of them relaxed; the numeric fit it no longer runs must agree.
+  const kernels::KernelEntry& k = kernels::kernel_by_name(GetParam());
+  for (const sdg::MergedSubgraph& merged : subgraph_problems(k)) {
+    const std::optional<ChiForm> chi = derive_chi(merged.problem);
+    if (!chi || chi->source == ChiSource::kNumeric) continue;
+    const double c_num =
+        numeric_constant(merged.problem, *chi, opt::BackendKind::kNelderMead);
+    EXPECT_TRUE(within_one_percent(chi->coefficient_num, c_num))
+        << k.name << " subgraph " << merged.str() << ": GP c = "
+        << chi->coefficient_num << " vs numeric " << c_num;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Corpus, BackendAgreement,
                          ::testing::ValuesIn(corpus_names()),
                          [](const ::testing::TestParamInfo<std::string>& i) {
@@ -211,6 +276,40 @@ INSTANTIATE_TEST_SUITE_P(Corpus, BackendAgreement,
                            }
                            return name;
                          });
+
+TEST(GpCoverage, CorpusConstantsBySource) {
+  // The 176 bounded derive_chi calls of the registry corpus: 92 take the GP
+  // over the whole problem and 69 the relaxation without its potentially
+  // active single terms.  The other 15 keep the numeric fit: each has
+  // several objective monomials that attain alpha, where the GP's one
+  // monomial does not stand for the objective.
+  std::size_t gp = 0;
+  std::size_t relaxed = 0;
+  std::size_t numeric = 0;
+  for (const auto& k : kernels::Registry::instance().kernels()) {
+    for (const sdg::MergedSubgraph& merged : subgraph_problems(k)) {
+      const std::optional<ChiForm> chi = derive_chi(merged.problem);
+      if (!chi) continue;
+      switch (chi->source) {
+        case ChiSource::kGp:
+          ++gp;
+          EXPECT_EQ(chi->tile_coeffs.size(), merged.problem.vars.size());
+          break;
+        case ChiSource::kRelaxedGp:
+          ++relaxed;
+          EXPECT_TRUE(chi->tile_coeffs.empty());
+          break;
+        case ChiSource::kNumeric:
+          ++numeric;
+          EXPECT_EQ(chi->tile_coeffs.size(), merged.problem.vars.size());
+          break;
+      }
+    }
+  }
+  EXPECT_EQ(gp, 92u);
+  EXPECT_EQ(relaxed, 69u);
+  EXPECT_EQ(numeric, 15u);
+}
 
 // ---------------------------------------------------------------------------
 // Fuzz sweep: generated feasible problems, deterministic seeds.

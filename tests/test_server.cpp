@@ -2,7 +2,8 @@
 // service::Server::serve over string streams: pinned reply bytes (with the
 // timing field stripped), cache hit/miss progression, the no-bound note,
 // the body and line size caps, EOF and unknown-command errors, duplicate
-// in-flight ids, stats accounting, and a concurrent request mix with a
+// in-flight ids, cache hits answered by the reader thread, stats
+// accounting, and a concurrent request mix with a
 // cancel (the suite is labeled `parallel`, so the TSan job runs it).  Also the
 // fixed-memory latency histogram behind `stats` p50/p99.
 #include <gtest/gtest.h>
@@ -239,6 +240,75 @@ TEST(ServerProtocol, DuplicateInFlightIdIsRejected) {
                              0),
             0u)
       << replies[1];
+}
+
+TEST(ServerProtocol, ReaderAnswersCachedRequestsWithTheWorkersBytes) {
+  HoldingExecutor executor;
+  ServerOptions options;
+  options.request_threads = 2;
+  options.executor = executor;
+  Server server(options);
+  const auto serve_held = [&](const std::string& input, std::size_t* held) {
+    CallbackAtEof buffer(input, [&] {
+      *held = executor.held();
+      executor.release();
+    });
+    std::istream in(&buffer);
+    std::ostringstream out;
+    EXPECT_EQ(server.serve(in, out), 0);
+    return reply_lines(out.str());
+  };
+  const std::string program =
+      std::string("max-subgraph-size=2\n") + kGemmBody + "end\n";
+  std::size_t held = 0;
+  const auto cold = serve_held(
+      "kernel gemm id=k1\nanalyze id=p1 " + program, &held);
+  EXPECT_EQ(held, 2u);
+  ASSERT_EQ(cold.size(), 2u);
+  // The repeats never reach the executor; the cached id `d` is still a
+  // duplicate of the in-flight atax request.
+  const auto warm = serve_held(
+      "kernel atax id=d\nkernel gemm id=d\nkernel gemm id=k2\n"
+      "analyze id=p2 " + program,
+      &held);
+  EXPECT_EQ(held, 1u);
+  ASSERT_EQ(warm.size(), 4u);
+  EXPECT_EQ(warm[0],
+            "{\"id\":\"d\",\"status\":\"invalid_input\",\"error\":"
+            "\"duplicate in-flight id 'd'\"}");
+  const auto as_hit = [](std::string line, const std::string& from,
+                         const std::string& to) {
+    line.replace(line.find(from), from.size(), to);
+    line.replace(line.find("\"cache\":\"miss\""), 14, "\"cache\":\"hit\"");
+    return line;
+  };
+  EXPECT_EQ(warm[1], as_hit(cold[0], "\"k1\"", "\"k2\""));
+  EXPECT_EQ(warm[2], as_hit(cold[1], "\"p1\"", "\"p2\""));
+  EXPECT_EQ(warm[3].rfind("{\"id\":\"d\",\"cache\":\"miss\","
+                          "\"family\":\"polybench\",\"kernel\":\"atax\"",
+                          0),
+            0u)
+      << warm[3];
+  const auto stats = serve(server, "stats id=s\n");
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(field(stats[0], "hits"), 2u);
+  EXPECT_EQ(field(stats[0], "misses"), 3u);
+}
+
+TEST(ServerProtocol, AnEvictedEntryIsDerivedAgain) {
+  ServerOptions options = serial_options();
+  options.cache.max_entries = 1;
+  Server server(options);
+  const auto replies = serve(
+      server, "kernel gemm id=a\nkernel gemm id=b\nkernel atax id=c\n"
+              "kernel gemm id=d\nstats id=s\n");
+  ASSERT_EQ(replies.size(), 5u);
+  EXPECT_NE(replies[1].find("\"cache\":\"hit\""), std::string::npos);
+  EXPECT_NE(replies[3].find("\"cache\":\"miss\""), std::string::npos)
+      << replies[3];
+  EXPECT_EQ(field(replies[4], "hits"), 1u);
+  EXPECT_EQ(field(replies[4], "misses"), 3u);
+  EXPECT_EQ(field(replies[4], "evicted"), 2u);
 }
 
 TEST(ServerProtocol, StatsCountersAddUp) {

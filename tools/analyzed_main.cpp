@@ -220,5 +220,9 @@ int main(int argc, char** argv) {
 
   service::Server server(options);
   if (listen_port != 0) return serve_listen(server, listen_port, once);
+  // Unsynced, untied stdin: the reader neither locks C stdio per read nor
+  // flushes std::cout behind the reply writers' lock.
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
   return server.serve(std::cin, std::cout);
 }
